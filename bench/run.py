@@ -1,18 +1,21 @@
 """whydb benchmark: seeded workloads, each in fresh single-threaded processes.
 
     python3 bench/run.py --workload chain-causes --seed 1 --seconds 30 --trace 0
-    python3 bench/run.py                          # every workload, seed 1
+    python3 bench/run.py                          # every workload, seed 1, run_seconds
     python3 bench/run.py --steadiness 10          # seeds 1..10, quartiles per metric
 
-A run starts PROCESSES fresh worker processes one after another. Each sets
-up (imports whydb, generates the seed's inputs, writes them, runs every
-operation once untimed), then times whole rounds of every operation for its
-share of --seconds, calling `whydb.cli.main(argv)` in-process with stdout
-going to a counting, hashing sink. Timings are reported at reference speed
-(see REF_MS). With --trace 0 the end-to-end metrics are printed; with
---trace 1 every other round runs with tracing wrappers installed and the
-per-layer metrics are printed. The last line of stdout is one JSON object:
-correct, attempted, failed and metrics.
+A run starts PROCESSES fresh worker processes one after another; --seconds
+defaults to run_seconds in BENCHMARK.json. Each worker sets up (imports
+whydb, generates the seed's inputs, writes them, runs every operation once
+untimed), then times whole rounds of every operation for its share of
+--seconds, calling `whydb.cli.main(argv)` in-process with stdout going to a
+hashing sink. Timings are reported at reference speed (see REF_MS). With
+--trace 0 the end-to-end metrics are printed; with --trace 1 every other
+round runs with tracing wrappers installed and the per-layer metrics are
+printed. The last line of stdout is one JSON object:
+correct, attempted, failed and metrics. An operation that fails is counted
+in failed and left out of the metrics; correct speaks of the outputs of the
+operations that did not fail.
 """
 
 from __future__ import annotations
@@ -32,9 +35,12 @@ from tracing import TIME_LAYERS
 ROOT = Path(__file__).resolve().parent.parent
 WORKER = ROOT / "bench" / "worker.py"
 RESULTS = ROOT / "bench" / "results"
+SPEC = ROOT / "BENCHMARK.json"
 WORKLOADS = ("chain-causes", "sparse-join", "fd-repairs")
 PROCESSES = 3
-BUDGET_S = 170.0
+# A worker's time beyond its share of --seconds: set-up, the round that
+# overruns the share, and the checks.
+WORKER_SLACK_S = 45.0
 # Every timing is taken at reference speed: wall time divided by the mean of
 # the reference loops timed right before and after it, times REF_MS. So
 # values read as milliseconds on a machine whose reference loop takes
@@ -62,7 +68,7 @@ def _gm(values) -> float:
 
 
 def _workers(workload: str, seed: int, seconds: float, trace: int) -> list[dict]:
-    deadline = time.monotonic() + BUDGET_S
+    deadline = time.monotonic() + seconds + PROCESSES * WORKER_SLACK_S
     env = dict(os.environ, PYTHONHASHSEED="0")
     records = []
     for proc in range(PROCESSES):
@@ -86,10 +92,14 @@ def _at_reference_ms(sample) -> float:
     return seconds / reference * REF_MS
 
 
-def _end_to_end(records: list[dict]) -> tuple[dict, dict, dict]:
-    """Metric values, the samples behind each, and each operation's median."""
-    names = list(records[0]["samples"])
-    pooled = {n: [s for r in records for s in r["samples"][n]] for n in names}
+def _end_to_end(records: list[dict]) -> tuple[dict, dict]:
+    """Metric values and the samples behind each, over the operations that
+    did not fail."""
+    pooled = {n: [s for r in records for s in r["samples"][n]] for n in records[0]["samples"]}
+    pooled = {n: v for n, v in pooled.items() if v}
+    if not pooled:
+        raise BenchError("no operation succeeded")
+    names = list(pooled)
     ms = {n: statistics.median(map(_at_reference_ms, v)) for n, v in pooled.items()}
     wall = {n: statistics.median(s[0] for s in v) * 1000 for n, v in pooled.items()}
     slowest = max(ms, key=ms.get)
@@ -110,17 +120,20 @@ def _end_to_end(records: list[dict]) -> tuple[dict, dict, dict]:
         "throughput_ops_s": f"one round of {len(ms)} ops at their median times",
         "setup_s": f"median of {len(records)} processes; wall "
                    f"{statistics.median(r['setup_s'] for r in records):.3f} s",
-        "peak_rss_mb": f"max of {len(records)} processes",
+        "peak_rss_mb": f"max of {len(records)} processes, read before the checks; "
+                       f"{max(r['base_rss_mb'] for r in records):.2f} MB before whydb's first call",
     }
-    return values, counts, ms
+    return values, counts
 
 
-def _per_layer(records: list[dict]) -> tuple[dict, dict, dict]:
+def _per_layer(records: list[dict]) -> tuple[dict, dict]:
     """Self times per operation at reference speed: each worker's span
     totals are scaled by the median reference loop of its traced rounds."""
     runs = sum(r["traced_runs"] for r in records)
-    scales = [REF_MS / 1000 / statistics.median(s[1] for v in r["traced"].values() for s in v)
-              for r in records]
+    refs = [[s[1] for v in r["traced"].values() for s in v] for r in records]
+    if not all(refs):
+        raise BenchError("no traced operation succeeded")
+    scales = [REF_MS / 1000 / statistics.median(ref) for ref in refs]
     values = {
         metric: sum(r["layers"]["self_ns"][layer] * k for r, k in zip(records, scales)) / runs / 1e6
         for metric, layer in LAYER_OF.items()
@@ -131,7 +144,8 @@ def _per_layer(records: list[dict]) -> tuple[dict, dict, dict]:
     for name in records[0]["samples"]:
         plain = [_at_reference_ms(s) for r in records for s in r["samples"][name]]
         traced = [_at_reference_ms(s) for r in records for s in r["traced"][name]]
-        overhead.append(statistics.median(traced) - statistics.median(plain))
+        if plain and traced:
+            overhead.append(statistics.median(traced) - statistics.median(plain))
     values["repair.enumerated"] = enumerated / runs
     values["repair.kept_ratio"] = kept / enumerated if enumerated else 0.0
     values["trace.overhead_ms"] = statistics.fmean(overhead)
@@ -139,7 +153,7 @@ def _per_layer(records: list[dict]) -> tuple[dict, dict, dict]:
     counts["repair.enumerated"] = f"S-repairs per op, {runs} traced ops"
     counts["repair.kept_ratio"] = f"{kept} kept / {enumerated} enumerated"
     counts["trace.overhead_ms"] = f"mean over {len(overhead)} ops of traced - untraced median"
-    return values, counts, {}
+    return values, counts
 
 
 def run_workload(workload: str, seed: int, seconds: float, trace: int) -> dict:
@@ -148,7 +162,7 @@ def run_workload(workload: str, seed: int, seconds: float, trace: int) -> dict:
     problems = [p for r in records for p in r["problems"]]
     if any(r["digests"] != records[0]["digests"] for r in records):
         problems.append("output differs between processes")
-    values, counts, op_ms = (_per_layer if trace else _end_to_end)(records)
+    values, counts = (_per_layer if trace else _end_to_end)(records)
     units = PER_LAYER if trace else END_TO_END
     return {
         "correct": not problems,
@@ -157,16 +171,14 @@ def run_workload(workload: str, seed: int, seconds: float, trace: int) -> dict:
         "metrics": {name: {"value": values[name], "unit": units[name]} for name in units},
         "counts": counts,
         "problems": problems,
-        "failed_ops": sorted({o for r in records for o in r["failed_ops"]}),
+        "failed_ops": {o: m for r in records for o, m in r["failed_ops"].items()},
         "rounds": [r["rounds"] for r in records],
         "wall": [f"{r['setup_s']:.1f}+{r['timed_s']:.1f}+{r['check_s']:.1f}s" for r in records],
         "makeup": records[0]["makeup"],
-        "op_ms": op_ms,
-        "bytes": records[0]["bytes"],
     }
 
 
-def _print_run(workload: str, seed: int, result: dict, verbose: bool = False) -> None:
+def _print_run(workload: str, seed: int, result: dict) -> None:
     print(f"{workload}  seed {seed}  rounds per process {result['rounds']}  "
           f"wall per process {result['wall']}  "
           f"attempted {result['attempted']}  failed {result['failed']}  "
@@ -175,14 +187,10 @@ def _print_run(workload: str, seed: int, result: dict, verbose: bool = False) ->
         print("  input " + "  ".join(f"{k}={v}" for k, v in row.items()))
     for name, metric in result["metrics"].items():
         print(f"  {name:22} {metric['value']:14.4f} {metric['unit']:6} ({result['counts'][name]})")
-    if verbose:
-        for op, ms in sorted(result["op_ms"].items()):
-            print(f"  op {op:40} {ms:10.2f} ms at reference speed, "
-                  f"{result['bytes'][op]} bytes of output")
     for problem in result["problems"]:
         print(f"  problem: {problem}")
-    for op in result["failed_ops"]:
-        print(f"  failed: {op}")
+    for op, message in sorted(result["failed_ops"].items()):
+        print(f"  failed: {op}: {message}")
 
 
 def _public(result: dict) -> dict:
@@ -193,10 +201,7 @@ def steadiness(workloads, seeds, seconds: float, trace: int) -> None:
     """Rerun each workload once per seed and print, per metric, the median,
     the quartiles and the quartile spread as a share of the median and of
     the metric's bound in BENCHMARK.json."""
-    bounds = {}
-    spec = ROOT / "BENCHMARK.json"
-    if spec.exists():
-        bounds = {m["name"]: m["bound"] for m in json.loads(spec.read_text())["end_to_end"]}
+    bounds = {m["name"]: m["bound"] for m in json.loads(SPEC.read_text())["end_to_end"]}
     RESULTS.mkdir(parents=True, exist_ok=True)
     for workload in workloads:
         runs = []
@@ -221,15 +226,17 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description="whydb benchmark")
     parser.add_argument("--workload", default="all", choices=WORKLOADS + ("all",))
     parser.add_argument("--seed", type=int, default=1)
-    parser.add_argument("--seconds", type=float, default=30)
+    parser.add_argument("--seconds", type=float, default=None,
+                        help="timed seconds per run (default: run_seconds in BENCHMARK.json)")
     parser.add_argument("--trace", type=int, choices=(0, 1), default=0)
-    parser.add_argument("--verbose", action="store_true", help="print each operation's median")
     parser.add_argument("--steadiness", type=int, default=0, metavar="N",
                         help="run every chosen workload on seeds SEED..SEED+N-1")
     args = parser.parse_args(argv)
     if not (ROOT / "src" / "whydb" / "cli.py").is_file():
         print(f"error: no whydb sources under {ROOT / 'src'}", file=sys.stderr)
         return 2
+    if args.seconds is None:
+        args.seconds = json.loads(SPEC.read_text())["run_seconds"]
     workloads = WORKLOADS if args.workload == "all" else (args.workload,)
     try:
         if args.steadiness:
@@ -239,7 +246,7 @@ def main(argv=None) -> int:
         results = {}
         for workload in workloads:
             results[workload] = run_workload(workload, args.seed, args.seconds, args.trace)
-            _print_run(workload, args.seed, results[workload], args.verbose)
+            _print_run(workload, args.seed, results[workload])
     except BenchError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -105,7 +105,8 @@ def layer_totals(spans: list[Span]) -> dict:
     """Self time per layer (ns), S-repairs enumerated and repairs kept.
 
     Enumerated counts every s_repairs result; kept counts the results of
-    repair-layer calls made from outside the repair layer.
+    repair-layer calls made from outside the repair layer. A call that
+    raised returned nothing and counts for neither.
     """
     child_ns = [0] * len(spans)
     for span in spans:
@@ -115,7 +116,7 @@ def layer_totals(spans: list[Span]) -> dict:
     enumerated = kept = 0
     for i, span in enumerate(spans):
         totals[span.layer] += span.end_ns - span.start_ns - child_ns[i]
-        if span.layer == "repair.search":
+        if span.layer == "repair.search" and span.returned is not None:
             if span.name == "s_repairs":
                 enumerated += span.returned
             if span.parent is None or spans[span.parent].layer != "repair.search":

@@ -48,16 +48,18 @@ def reference_loop() -> int:
 
 
 class Sink:
-    """Stands in for stdout: counts and hashes the bytes written to it."""
+    """Stands in for stdout: hashes the bytes written to it, and copies them
+    to `copy`, a binary file, if one is given."""
 
-    def __init__(self):
-        self.size = 0
+    def __init__(self, copy=None):
         self._hash = hashlib.blake2b()
+        self._copy = copy
 
     def write(self, text: str) -> int:
         data = text.encode("utf-8")
-        self.size += len(data)
         self._hash.update(data)
+        if self._copy is not None:
+            self._copy.write(data)
         return len(text)
 
     def flush(self) -> None:
@@ -65,10 +67,6 @@ class Sink:
 
     def digest(self) -> str:
         return self._hash.hexdigest()
-
-
-def _digest(text: str) -> str:
-    return hashlib.blake2b(text.encode("utf-8")).hexdigest()
 
 
 def _call(main, argv, out, err) -> int | None:
@@ -81,8 +79,9 @@ def _call(main, argv, out, err) -> int | None:
             return None
 
 
-def _verify(ops, texts) -> list[str]:
-    """Run every output check; return one message per failed check."""
+def _verify(ops, outdir: Path) -> list[str]:
+    """Run every output check on the warm-up outputs kept in `outdir`;
+    return one message per failed check."""
     problems = []
     values = {}
     for op in ops:
@@ -90,7 +89,8 @@ def _verify(ops, texts) -> list[str]:
         try:
             # The second form of a command reads its output and must equal
             # the first; the checks on the value have already run.
-            value = op.verify(texts[op.name], check=checked is None)
+            text = (outdir / op.name).read_text(encoding="utf-8")
+            value = op.verify(text, check=checked is None)
         except Exception as exc:
             problems.append(f"{op.name}: {type(exc).__name__}: {exc}")
             continue
@@ -98,6 +98,10 @@ def _verify(ops, texts) -> list[str]:
             problems.append(f"{op.name}: text and JSON forms disagree")
         values.setdefault(op.group, value)
     return problems
+
+
+def _peak_rss_mb() -> float:
+    return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
 
 
 def _timed_reference() -> float:
@@ -126,16 +130,23 @@ def main() -> int:
     try:
         ops, makeup = workload.build(args.seed, workdir)
         problems = []
-        texts, digests = {}, {}
-        failed_ops = set()
+        digests = {}
+        # An operation that fails is counted in `failed`, not a wrong output.
+        failed_ops = {}
+        # The benchmark's own memory high-water mark before whydb runs.
+        base_rss_mb = _peak_rss_mb()
+        # The warm-up outputs go to files, so that no worker holds them in
+        # memory; the checks read them back once the timed loop is over.
+        outdir = workdir / "out"
+        outdir.mkdir()
         for op in ops:  # untimed warm-up pass; its output is what gets checked
             setup_refs.append(_timed_reference())
-            out, err = io.StringIO(), io.StringIO()
-            if _call(whydb_main, op.argv, out, err) != 0:
-                failed_ops.add(op.name)
-                problems.append(f"{op.name}: failed in warm-up: {err.getvalue().strip()[-300:]}")
-            texts[op.name] = out.getvalue()
-            digests[op.name] = _digest(texts[op.name])
+            err = io.StringIO()
+            with (outdir / op.name).open("wb") as copy:
+                out = Sink(copy)
+                if _call(whydb_main, op.argv, out, err) != 0:
+                    failed_ops[op.name] = err.getvalue().strip()[-300:]
+            digests[op.name] = out.digest()
         setup_s = time.perf_counter() - _START
 
         rng = random.Random(f"order/{args.seed}/{args.proc}")
@@ -144,7 +155,6 @@ def main() -> int:
         # before and right after it).
         samples = {op.name: [] for op in ops}
         traced = {op.name: [] for op in ops}
-        out_bytes = {}
         attempted = failed = rounds = traced_runs = 0
         index = {op.name: i for i, op in enumerate(ops)}
         start = time.perf_counter()
@@ -177,21 +187,22 @@ def main() -> int:
                 traced_runs += tracing
                 if rc != 0:
                     failed += 1
-                    failed_ops.add(op.name)
+                    failed_ops.setdefault(op.name, err.getvalue().strip()[-300:])
                     continue
                 if sink.digest() != digests[op.name]:
                     problems.append(f"{op.name}: output differs between repetitions")
                 pending = (op.name, seconds, ref)
-                out_bytes[op.name] = sink.size
             if tracing:
                 tracer.uninstall()
             rounds += 1
             round_s = time.perf_counter() - round_start
         timed_s = time.perf_counter() - start
+        # Read before the checks, whose parsing would raise the mark.
+        rss_mb = _peak_rss_mb()
 
         check_start = time.perf_counter()
         if args.check:
-            problems += _verify([op for op in ops if op.name not in failed_ops], texts)
+            problems += _verify([op for op in ops if op.name not in failed_ops], outdir)
         check_s = time.perf_counter() - check_start
         record = {
             "setup_s": setup_s,
@@ -201,11 +212,11 @@ def main() -> int:
             "rounds": rounds,
             "attempted": attempted,
             "failed": failed,
-            "failed_ops": sorted(failed_ops),
+            "failed_ops": failed_ops,
             "problems": problems[:20],
-            "rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024,
+            "rss_mb": rss_mb,
+            "base_rss_mb": base_rss_mb,
             "digests": digests,
-            "bytes": out_bytes,
             "samples": samples,
             "makeup": makeup,
         }
