@@ -16,8 +16,8 @@ from typing import Sequence
 
 from .core import Instance
 from .errors import PreconditionError
-from .query import UCQ, eval_bcq, negate_query
-from .repair import HardConstraint, c_repairs, render_hard, s_repairs, satisfies_hard
+from .query import UCQ, eval_bcq, negate_query, violations
+from .repair import HardConstraint, c_repairs, s_repairs, satisfies_hard
 
 
 @dataclass(frozen=True)
@@ -108,7 +108,7 @@ def causes_under_ics(
     for constraint in hard:
         if not satisfies_hard(inst, constraint):
             raise PreconditionError(
-                f"instance violates hard constraint {render_hard(constraint)}"
+                f"instance violates hard constraint {constraint.render()}"
             )
     return _reports(inst, q, tuple(hard))
 
@@ -132,14 +132,12 @@ def responsibility(inst: Instance, q: UCQ, t: int) -> Fraction:
 
 
 def counterfactual_causes(inst: Instance, q: UCQ) -> list[int]:
-    """Endogenous tuples whose sole deletion falsifies q."""
+    """Endogenous tuples whose sole deletion falsifies q: those in every
+    witness of q, that is in every violation edge of the negated query."""
     if not eval_bcq(inst, q):
         return []
-    return [
-        t
-        for t in sorted(inst.endogenous_tids)
-        if not eval_bcq(inst.without({t}), q)
-    ]
+    edges = [e.tids for e in violations(inst, negate_query(q))]
+    return sorted(inst.endogenous_tids.intersection(*edges))
 
 
 def most_responsible_causes(inst: Instance, q: UCQ) -> list[int]:

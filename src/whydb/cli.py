@@ -2,6 +2,13 @@
 
 Exit status: 0 on success, 1 on domain errors (irreparable instances,
 precondition failures, oracle mismatches), 2 on usage and parse errors.
+
+Every subcommand is one row of `_COMMANDS`. `main` loads `--db` and calls
+the row's handler, which returns its output in the format asked for: the
+fields of the `{"schema": 1, ...}` JSON document, or the lines of text.
+`main` prints it and maps errors to exit codes. Handlers reach the library
+through this module's global names at call time, so a caller may rebind
+them (the benchmark's tracer does).
 """
 
 from __future__ import annotations
@@ -23,35 +30,51 @@ from .causality import (
     most_responsible_causes,
     responsibility,
 )
-from .core import Instance, load_instance
+from .core import load_instance
 from .errors import ParseError, WhydbError
 from .oracle import GUARD, brute_causes, brute_causes_from_repairs, brute_repairs
 from .query import answers, eval_bcq, negate_query, parse_constraints, parse_query
 from .repair import c_repairs, parse_hard_constraints, s_repairs
 
 
+class _UsageError(Exception):
+    """Arguments that argparse accepts but the command cannot use (exit 2)."""
+
+
+class _Mismatch(Exception):
+    """oracle-check disagrees with the oracle: print `output`, exit 1."""
+
+    def __init__(self, output):
+        super().__init__()
+        self.output = output
+
+
 def _read_file(path: str) -> str:
     return Path(path).read_text(encoding="utf-8")
 
 
-def _load_query(args):
-    text = args.q if getattr(args, "q", None) is not None else _read_file(args.query_file)
-    return parse_query(text)
+def _has_query(args) -> bool:
+    return args.q is not None or args.query_file is not None
 
 
-def _load_hard(args):
-    if getattr(args, "hard", None):
-        return parse_hard_constraints(_read_file(args.hard))
-    return []
+def _query(args):
+    return parse_query(args.q if args.q is not None else _read_file(args.query_file))
 
 
-def _fact_set_text(inst: Instance, tids) -> str:
-    inner = ", ".join(inst.fact(t).render() for t in sorted(tids))
-    return "{" + inner + "}"
+def _constraints(args, inst):
+    return parse_constraints(_read_file(args.constraints), inst)
 
 
-def _fact_list_json(inst: Instance, tids) -> list[str]:
+def _hard(args):
+    return parse_hard_constraints(_read_file(args.hard)) if args.hard else []
+
+
+def _facts(inst, tids) -> list[str]:
     return [inst.fact(t).render() for t in sorted(tids)]
+
+
+def _fact_set(inst, tids) -> str:
+    return "{" + ", ".join(_facts(inst, tids)) + "}"
 
 
 def _rho_json(value):
@@ -60,300 +83,238 @@ def _rho_json(value):
     return {"num": value.numerator, "den": value.denominator}
 
 
-def _print_json(obj) -> None:
-    print(json.dumps(obj, indent=2))
-
-
-def _cmd_repairs(args) -> int:
-    inst = load_instance(_read_file(args.db))
-    cs = parse_constraints(_read_file(args.constraints), inst)
-    hard = _load_hard(args)
-    reps = (c_repairs if args.kind == "c" else s_repairs)(inst, cs, hard)
+def _cmd_repairs(args, inst):
+    cs = _constraints(args, inst)
+    reps = (c_repairs if args.kind == "c" else s_repairs)(inst, cs, _hard(args))
     if args.format == "json":
-        _print_json(
-            {
-                "schema": 1,
-                "kind": args.kind,
-                "repairs": [
-                    {
-                        "deleted": _fact_list_json(inst, r.deleted),
-                        "retained": _fact_list_json(inst, r.retained),
-                    }
-                    for r in reps
-                ],
-            }
-        )
-        return 0
-    for i, r in enumerate(reps, start=1):
-        print(
-            f"{args.kind}-repair {i}: deleted {_fact_set_text(inst, r.deleted)} "
-            f"retained {_fact_set_text(inst, r.retained)}"
-        )
-    return 0
+        return {
+            "kind": args.kind,
+            "repairs": [
+                {
+                    "deleted": _facts(inst, r.deleted),
+                    "retained": _facts(inst, r.retained),
+                }
+                for r in reps
+            ],
+        }
+    return (
+        f"{args.kind}-repair {i}: deleted {_fact_set(inst, r.deleted)} "
+        f"retained {_fact_set(inst, r.retained)}"
+        for i, r in enumerate(reps, start=1)
+    )
 
 
-def _cmd_causes(args) -> int:
-    inst = load_instance(_read_file(args.db))
-    q = _load_query(args)
-    hard = _load_hard(args)
+def _cmd_causes(args, inst):
+    q = _query(args)
+    hard = _hard(args)
     reports = causes_under_ics(inst, q, hard) if hard else actual_causes(inst, q)
     if args.format == "json":
-        _print_json(
-            {
-                "schema": 1,
-                "causes": [
-                    {
-                        "tid": r.tid,
-                        "atom": inst.fact(r.tid).atom_text(),
-                        "responsibility": _rho_json(r.responsibility),
-                        "counterfactual": r.is_counterfactual,
-                        "most_responsible": r.is_most_responsible,
-                        "contingency_sets": [
-                            _fact_list_json(inst, g)
-                            for g in r.minimal_contingency_sets
-                        ],
-                    }
-                    for r in reports
-                ],
-            }
-        )
-        return 0
-    for r in reports:
-        sets = ", ".join(
-            _fact_set_text(inst, g) for g in r.minimal_contingency_sets
-        )
-        print(
-            f"{inst.fact(r.tid).render()}: responsibility={r.responsibility} "
-            f"counterfactual={'yes' if r.is_counterfactual else 'no'} "
-            f"most-responsible={'yes' if r.is_most_responsible else 'no'} "
-            f"contingency-sets=[{sets}]"
-        )
-    return 0
+        return {
+            "causes": [
+                {
+                    "tid": r.tid,
+                    "atom": inst.fact(r.tid).atom_text(),
+                    "responsibility": _rho_json(r.responsibility),
+                    "counterfactual": r.is_counterfactual,
+                    "most_responsible": r.is_most_responsible,
+                    "contingency_sets": [
+                        _facts(inst, g) for g in r.minimal_contingency_sets
+                    ],
+                }
+                for r in reports
+            ]
+        }
+    return (
+        f"{inst.fact(r.tid).render()}: responsibility={r.responsibility} "
+        f"counterfactual={'yes' if r.is_counterfactual else 'no'} "
+        f"most-responsible={'yes' if r.is_most_responsible else 'no'} "
+        "contingency-sets=["
+        + ", ".join(_fact_set(inst, g) for g in r.minimal_contingency_sets)
+        + "]"
+        for r in reports
+    )
 
 
-def _cmd_contingency(args) -> int:
-    inst = load_instance(_read_file(args.db))
-    q = _load_query(args)
-    sets = contingency_sets(inst, q, args.tid)
+def _cmd_contingency(args, inst):
+    sets = contingency_sets(inst, _query(args), args.tid)
     if args.format == "json":
-        _print_json(
-            {
-                "schema": 1,
-                "tid": args.tid,
-                "atom": inst.fact(args.tid).atom_text(),
-                "contingency_sets": [_fact_list_json(inst, g) for g in sets],
-            }
-        )
-        return 0
-    for g in sets:
-        print(_fact_set_text(inst, g))
-    return 0
+        return {
+            "tid": args.tid,
+            "atom": inst.fact(args.tid).atom_text(),
+            "contingency_sets": [_facts(inst, g) for g in sets],
+        }
+    return [_fact_set(inst, g) for g in sets]
 
 
-def _cmd_responsibility(args) -> int:
-    inst = load_instance(_read_file(args.db))
-    q = _load_query(args)
-    value = responsibility(inst, q, args.tid)
+def _cmd_responsibility(args, inst):
+    value = responsibility(inst, _query(args), args.tid)
     if args.format == "json":
-        _print_json(
-            {
-                "schema": 1,
-                "tid": args.tid,
-                "atom": inst.fact(args.tid).atom_text(),
-                "responsibility": _rho_json(value),
-            }
-        )
-        return 0
-    print(f"responsibility({inst.fact(args.tid).render()}) = {value}")
-    return 0
+        return {
+            "tid": args.tid,
+            "atom": inst.fact(args.tid).atom_text(),
+            "responsibility": _rho_json(value),
+        }
+    return [f"responsibility({inst.fact(args.tid).render()}) = {value}"]
 
 
-def _cmd_counterfactual(args) -> int:
-    inst = load_instance(_read_file(args.db))
-    q = _load_query(args)
-    tids = counterfactual_causes(inst, q)
+def _tid_list(args, inst, key: str, tids):
     if args.format == "json":
-        _print_json({"schema": 1, "counterfactual_causes": _fact_list_json(inst, tids)})
-        return 0
-    for t in tids:
-        print(inst.fact(t).render())
-    return 0
+        return {key: _facts(inst, tids)}
+    return [inst.fact(t).render() for t in tids]
 
 
-def _cmd_most_responsible(args) -> int:
-    inst = load_instance(_read_file(args.db))
-    q = _load_query(args)
-    tids = most_responsible_causes(inst, q)
-    if args.format == "json":
-        _print_json(
-            {"schema": 1, "most_responsible_causes": _fact_list_json(inst, tids)}
-        )
-        return 0
-    for t in tids:
-        print(inst.fact(t).render())
-    return 0
+def _cmd_counterfactual(args, inst):
+    tids = counterfactual_causes(inst, _query(args))
+    return _tid_list(args, inst, "counterfactual_causes", tids)
 
 
-def _cmd_query(args) -> int:
-    inst = load_instance(_read_file(args.db))
-    q = _load_query(args)
+def _cmd_most_responsible(args, inst):
+    tids = most_responsible_causes(inst, _query(args))
+    return _tid_list(args, inst, "most_responsible_causes", tids)
+
+
+def _cmd_query(args, inst):
+    q = _query(args)
     if q.is_boolean:
         value = eval_bcq(inst, q)
         if args.format == "json":
-            _print_json({"schema": 1, "boolean": True, "value": value})
-        else:
-            print("true" if value else "false")
-        return 0
+            return {"boolean": True, "value": value}
+        return ["true" if value else "false"]
     rows = sorted(answers(inst, q))
     if args.format == "json":
-        _print_json({"schema": 1, "boolean": False, "answers": [list(r) for r in rows]})
-        return 0
-    for row in rows:
-        print("(" + ",".join(row) + ")")
-    return 0
+        return {"boolean": False, "answers": [list(r) for r in rows]}
+    return ["(" + ",".join(row) + ")" for row in rows]
 
 
-_DIALECTS = {
-    "core-disjunctive": AspDialect.CORE_DISJUNCTIVE,
-    "core-normalized": AspDialect.CORE_NORMALIZED,
-    "extended": AspDialect.EXTENDED,
-}
-
-
-def _cmd_emit_asp(args) -> int:
-    inst = load_instance(_read_file(args.db))
-    dialect = _DIALECTS[args.dialect]
-    has_query = args.q is not None or args.query_file is not None
-    if has_query == bool(args.constraints):
-        print(
-            "error: emit-asp needs exactly one of a query (-q/--query-file) "
-            "or --constraints",
-            file=sys.stderr,
+def _cmd_emit_asp(args, inst):
+    dialect = AspDialect(args.dialect.replace("-", "_"))
+    if _has_query(args) == bool(args.constraints):
+        raise _UsageError(
+            "emit-asp needs exactly one of a query (-q/--query-file) or --constraints"
         )
-        return 2
-    if has_query:
+    if _has_query(args):
         opts = CausalityOptions(
             cause_rules=not args.no_cause_rules,
             contingency_union=args.contingency_union,
             responsibility_rules=args.responsibility_rules,
             weak_constraints=args.weak_constraints,
-            hard_constraints=tuple(_load_hard(args)),
+            hard_constraints=tuple(_hard(args)),
         )
-        program = emit_causality_program(inst, _load_query(args), dialect, opts)
+        program = emit_causality_program(inst, _query(args), dialect, opts)
+    elif args.hard:
+        raise _UsageError("--hard applies to causality programs only")
     else:
-        if args.hard:
-            print(
-                "error: --hard applies to causality programs only",
-                file=sys.stderr,
-            )
-            return 2
-        cs = parse_constraints(_read_file(args.constraints), inst)
-        program = emit_repair_program(inst, cs, dialect)
+        program = emit_repair_program(inst, _constraints(args, inst), dialect)
     if args.format == "json":
-        _print_json(
-            {
-                "schema": 1,
-                "dialect": program.dialect.value,
-                "predicate_map": dict(sorted(program.predicate_map.items())),
-                "program": program.text,
-            }
-        )
-        return 0
-    sys.stdout.write(program.text)
-    return 0
+        return {
+            "dialect": program.dialect.value,
+            "predicate_map": dict(sorted(program.predicate_map.items())),
+            "program": program.text,
+        }
+    return [program.text[:-1]]  # the text ends in a newline; print adds it back
 
 
-def _oracle_guard() -> int:
-    raw = os.environ.get("WHYDB_ORACLE_GUARD")
-    if raw is None:
-        return GUARD
+def _deleted(reps) -> list[tuple[int, ...]]:
+    return sorted(tuple(sorted(r.deleted)) for r in reps)
+
+
+def _cause_keys(reports) -> list:
+    return [(r.tid, r.responsibility, r.minimal_contingency_sets) for r in reports]
+
+
+def _cmd_oracle_check(args, inst):
+    hard = tuple(_hard(args))
     try:
-        return min(GUARD, int(raw))
+        guard = min(GUARD, int(os.environ.get("WHYDB_ORACLE_GUARD", GUARD)))
     except ValueError:
-        return GUARD
-
-
-def _cmd_oracle_check(args) -> int:
-    inst = load_instance(_read_file(args.db))
-    hard = tuple(_load_hard(args))
-    guard = _oracle_guard()
-    checks: list[tuple[str, bool, str]] = []
-
-    def record(name: str, main_repr, oracle_repr) -> None:
-        checks.append(
-            (name, main_repr == oracle_repr, f"main={main_repr!r} oracle={oracle_repr!r}")
-        )
-
-    constraint_sets = []
-    if args.constraints:
-        constraint_sets.append(parse_constraints(_read_file(args.constraints), inst))
-    q = None
-    if args.q is not None or args.query_file is not None:
-        q = _load_query(args)
+        guard = GUARD
+    checks = []  # (name, the main path's result, the oracle's result)
+    constraint_sets = [_constraints(args, inst)] if args.constraints else []
+    q = _query(args) if _has_query(args) else None
+    if q is not None:
         constraint_sets.append(negate_query(q))
-
     for cs in constraint_sets:
         expected = brute_repairs(inst, cs, hard, guard)
-        got_s = s_repairs(inst, cs, hard)
-        record(
-            "s-repairs",
-            sorted(tuple(sorted(r.deleted)) for r in got_s),
-            sorted(tuple(sorted(r.deleted)) for r in expected),
-        )
-        got_c = c_repairs(inst, cs, hard)
-        record(
-            "c-repairs",
-            sorted(tuple(sorted(r.deleted)) for r in got_c),
-            sorted(tuple(sorted(r.deleted)) for r in expected if r.c_repair),
-        )
+        got_s, got_c = s_repairs(inst, cs, hard), c_repairs(inst, cs, hard)
+        checks.append(("s-repairs", _deleted(got_s), _deleted(expected)))
+        c_expected = (r for r in expected if r.c_repair)
+        checks.append(("c-repairs", _deleted(got_c), _deleted(c_expected)))
     if q is not None:
-        got = (
-            causes_under_ics(inst, q, hard) if hard else actual_causes(inst, q)
-        )
+        reports = causes_under_ics(inst, q, hard) if hard else actual_causes(inst, q)
         expected = (
             brute_causes_from_repairs(inst, q, hard, guard)
             if hard
             else brute_causes(inst, q, guard)
         )
-        record(
-            "causes",
-            [(r.tid, r.responsibility, r.minimal_contingency_sets) for r in got],
-            [(r.tid, r.responsibility, r.minimal_contingency_sets) for r in expected],
-        )
+        checks.append(("causes", _cause_keys(reports), _cause_keys(expected)))
 
-    ok = all(good for _, good, _ in checks)
+    ok = all(got == want for _, got, want in checks)
     if args.format == "json":
-        _print_json(
-            {
-                "schema": 1,
-                "ok": ok,
-                "checks": [
-                    {"name": name, "ok": good} for name, good, _ in checks
-                ],
-            }
-        )
+        output = {
+            "ok": ok,
+            "checks": [{"name": name, "ok": got == want} for name, got, want in checks],
+        }
     else:
-        for name, good, detail in checks:
-            print(f"{name}: {'OK' if good else 'MISMATCH ' + detail}")
-    return 0 if ok else 1
+        output = [
+            f"{name}: OK"
+            if got == want
+            else f"{name}: MISMATCH main={got!r} oracle={want!r}"
+            for name, got, want in checks
+        ]
+    if not ok:
+        raise _Mismatch(output)
+    return output
 
 
-def _add_db(parser) -> None:
-    parser.add_argument("--db", required=True, help="fact file")
+_HARD = ("--hard", {"help": "hard-constraint file"})
+_TID = ("--tid", {"type": int, "required": True})
+_FLAG = {"action": "store_true"}
+_DIALECTS = sorted(d.value.replace("_", "-") for d in AspDialect)
 
-
-def _add_query(parser, required=True) -> None:
-    group = parser.add_mutually_exclusive_group(required=required)
-    group.add_argument("-q", help="inline query text")
-    group.add_argument("--query-file", help="file with query rules")
-
-
-def _add_format(parser) -> None:
-    parser.add_argument("--format", choices=["text", "json"], default="text")
-
-
-def _add_hard(parser) -> None:
-    parser.add_argument("--hard", help="hard-constraint file")
+# name: (help, handler, query: required (True), optional (False) or none,
+# further options between --db/query and --format, in help order)
+_COMMANDS = {
+    "repairs": (
+        "enumerate S- or C-repairs",
+        _cmd_repairs,
+        None,
+        (
+            ("--constraints", {"required": True, "help": "constraint file"}),
+            _HARD,
+            ("--kind", {"choices": ["s", "c"], "default": "s"}),
+        ),
+    ),
+    "causes": ("actual causes with responsibilities", _cmd_causes, True, (_HARD,)),
+    "contingency": (
+        "minimal contingency sets of one tuple", _cmd_contingency, True, (_TID,)
+    ),
+    "responsibility": (
+        "responsibility of one tuple", _cmd_responsibility, True, (_TID,)
+    ),
+    "counterfactual": ("counterfactual causes", _cmd_counterfactual, True, ()),
+    "most-responsible": ("most responsible causes", _cmd_most_responsible, True, ()),
+    "query": ("evaluate a query", _cmd_query, True, ()),
+    "emit-asp": (
+        "emit a repair or causality program",
+        _cmd_emit_asp,
+        False,
+        (
+            ("--constraints", {"help": "constraint file (repair program)"}),
+            ("--dialect", {"choices": _DIALECTS, "default": "core-disjunctive"}),
+            _HARD,
+            ("--no-cause-rules", _FLAG),
+            ("--contingency-union", _FLAG),
+            ("--responsibility-rules", _FLAG),
+            ("--weak-constraints", _FLAG),
+        ),
+    ),
+    "oracle-check": (
+        "compare against the brute-force oracle",
+        _cmd_oracle_check,
+        False,
+        (("--constraints", {"help": "constraint file"}), _HARD),
+    ),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -364,77 +325,17 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=f"whydb {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("repairs", help="enumerate S- or C-repairs")
-    _add_db(p)
-    p.add_argument("--constraints", required=True, help="constraint file")
-    _add_hard(p)
-    p.add_argument("--kind", choices=["s", "c"], default="s")
-    _add_format(p)
-    p.set_defaults(handler=_cmd_repairs)
-
-    p = sub.add_parser("causes", help="actual causes with responsibilities")
-    _add_db(p)
-    _add_query(p)
-    _add_hard(p)
-    _add_format(p)
-    p.set_defaults(handler=_cmd_causes)
-
-    p = sub.add_parser("contingency", help="minimal contingency sets of one tuple")
-    _add_db(p)
-    _add_query(p)
-    p.add_argument("--tid", type=int, required=True)
-    _add_format(p)
-    p.set_defaults(handler=_cmd_contingency)
-
-    p = sub.add_parser("responsibility", help="responsibility of one tuple")
-    _add_db(p)
-    _add_query(p)
-    p.add_argument("--tid", type=int, required=True)
-    _add_format(p)
-    p.set_defaults(handler=_cmd_responsibility)
-
-    p = sub.add_parser("counterfactual", help="counterfactual causes")
-    _add_db(p)
-    _add_query(p)
-    _add_format(p)
-    p.set_defaults(handler=_cmd_counterfactual)
-
-    p = sub.add_parser("most-responsible", help="most responsible causes")
-    _add_db(p)
-    _add_query(p)
-    _add_format(p)
-    p.set_defaults(handler=_cmd_most_responsible)
-
-    p = sub.add_parser("query", help="evaluate a query")
-    _add_db(p)
-    _add_query(p)
-    _add_format(p)
-    p.set_defaults(handler=_cmd_query)
-
-    p = sub.add_parser("emit-asp", help="emit a repair or causality program")
-    _add_db(p)
-    _add_query(p, required=False)
-    p.add_argument("--constraints", help="constraint file (repair program)")
-    p.add_argument(
-        "--dialect", choices=sorted(_DIALECTS), default="core-disjunctive"
-    )
-    _add_hard(p)
-    p.add_argument("--no-cause-rules", action="store_true")
-    p.add_argument("--contingency-union", action="store_true")
-    p.add_argument("--responsibility-rules", action="store_true")
-    p.add_argument("--weak-constraints", action="store_true")
-    _add_format(p)
-    p.set_defaults(handler=_cmd_emit_asp)
-
-    p = sub.add_parser("oracle-check", help="compare against the brute-force oracle")
-    _add_db(p)
-    _add_query(p, required=False)
-    p.add_argument("--constraints", help="constraint file")
-    _add_hard(p)
-    _add_format(p)
-    p.set_defaults(handler=_cmd_oracle_check)
-
+    for name, (help_text, handler, query, options) in _COMMANDS.items():
+        p = sub.add_parser(name, help=help_text)
+        p.add_argument("--db", required=True, help="fact file")
+        if query is not None:
+            group = p.add_mutually_exclusive_group(required=query)
+            group.add_argument("-q", help="inline query text")
+            group.add_argument("--query-file", help="file with query rules")
+        for flag, kwargs in options:
+            p.add_argument(flag, **kwargs)
+        p.add_argument("--format", choices=["text", "json"], default="text")
+        p.set_defaults(handler=handler)
     return parser
 
 
@@ -444,22 +345,28 @@ def main(argv: Sequence[str] | None = None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
-    if args.command == "oracle-check" and not (
-        args.constraints or args.q is not None or args.query_file is not None
-    ):
-        print("error: oracle-check needs a query or --constraints", file=sys.stderr)
-        return 2
     try:
-        return args.handler(args)
-    except ParseError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+        if args.command == "oracle-check" and not (
+            args.constraints or _has_query(args)
+        ):
+            raise _UsageError("oracle-check needs a query or --constraints")
+        inst = load_instance(_read_file(args.db))
+        try:
+            output, code = args.handler(args, inst), 0
+        except _Mismatch as exc:
+            output, code = exc.output, 1
+        if args.format == "json":
+            print(json.dumps({"schema": 1, **output}, indent=2))
+        else:
+            for line in output:
+                print(line)
+    except (ParseError, OSError, _UsageError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except WhydbError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    return code
 
 
 def run() -> None:

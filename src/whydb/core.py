@@ -56,38 +56,49 @@ class Fact:
         return f"{self.atom_text()}#{self.tid}"
 
 
+class _FactError(ValueError):
+    """An invalid fact; `index` is its position among the facts given."""
+
+    def __init__(self, message: str, index: int):
+        super().__init__(message)
+        self.index = index
+
+
 class Instance:
     """An immutable set of facts with pairwise-distinct tids.
 
     Set semantics hold on (predicate, args); every predicate has one arity.
+    The facts are checked in the order given, and the first fact that breaks
+    a rule is reported.
     """
 
     __slots__ = ("_facts", "_by_tid", "_by_pred", "_arities", "_tids", "_endo")
 
     def __init__(self, facts: Iterable[Fact] = ()):
-        ordered = tuple(sorted(facts, key=lambda f: f.tid))
         by_tid: dict[int, Fact] = {}
-        by_pred: dict[str, list[Fact]] = {}
         arities: dict[str, int] = {}
         keys: set[tuple[str, tuple[str, ...]]] = set()
-        for fact in ordered:
+        for index, fact in enumerate(facts):
             if fact.tid in by_tid:
-                raise ValueError(f"duplicate tid {fact.tid}")
+                raise _FactError(f"duplicate tid {fact.tid}", index)
             if fact.key in keys:
-                raise ValueError(f"duplicate fact {fact.atom_text()}")
-            known = arities.get(fact.predicate)
-            if known is not None and known != len(fact.args):
-                raise ValueError(
-                    f"arity clash for {fact.predicate}: {known} vs {len(fact.args)}"
+                raise _FactError(f"duplicate fact {fact.atom_text()}", index)
+            known = arities.setdefault(fact.predicate, len(fact.args))
+            if known != len(fact.args):
+                raise _FactError(
+                    f"arity clash for {fact.predicate}: {known} vs {len(fact.args)}",
+                    index,
                 )
             by_tid[fact.tid] = fact
             keys.add(fact.key)
-            arities.setdefault(fact.predicate, len(fact.args))
+        ordered = tuple(sorted(by_tid.values(), key=lambda f: f.tid))
+        by_pred: dict[str, list[Fact]] = {}
+        for fact in ordered:
             by_pred.setdefault(fact.predicate, []).append(fact)
         self._facts = ordered
         self._by_tid = by_tid
         self._by_pred = {p: tuple(fs) for p, fs in by_pred.items()}
-        self._arities = arities
+        self._arities = {p: arities[p] for p in by_pred}  # in tid order, too
         self._tids = frozenset(by_tid)
         self._endo = frozenset(t for t, f in by_tid.items() if not f.exogenous)
 
@@ -183,7 +194,8 @@ def load_instance(text: str) -> Instance:
     mix explicit-tid facts with implicit ones.
     """
     sc = Scanner(text)
-    parsed: list[tuple[bool, str, int | None, tuple[str, ...], int, int]] = []
+    facts: list[tuple[bool, str, int | None, tuple[str, ...]]] = []
+    positions: list[tuple[int, int]] = []
     while True:
         sc.skip_layout()
         if sc.eof():
@@ -203,42 +215,25 @@ def load_instance(text: str) -> Instance:
             args.append(_read_constant(sc))
         sc.expect(")")
         sc.expect(".")
-        parsed.append((exogenous, predicate, tid, tuple(args), line, col))
+        facts.append((exogenous, predicate, tid, tuple(args)))
+        positions.append((line, col))
 
-    explicit = [entry for entry in parsed if entry[2] is not None]
-    if explicit and len(explicit) != len(parsed):
-        first = next(entry for entry in parsed if entry[2] is None)
+    implicit = [i for i, fact in enumerate(facts) if fact[2] is None]
+    if implicit and len(implicit) != len(facts):
+        line, col = positions[implicit[0]]
         raise ParseError(
             "mixed tid modes: every fact must carry an explicit tid or none may",
-            line=first[4],
-            column=first[5],
+            line=line,
+            column=col,
         )
-
-    facts: list[Fact] = []
-    seen_keys: dict[tuple[str, tuple[str, ...]], int] = {}
-    seen_tids: set[int] = set()
-    arities: dict[str, int] = {}
-    for index, (exogenous, predicate, tid, args, line, col) in enumerate(parsed):
-        if tid is None:
-            tid = index + 1
-        if tid in seen_tids:
-            raise ParseError(f"duplicate tid {tid}", line=line, column=col)
-        seen_tids.add(tid)
-        key = (predicate, args)
-        if key in seen_keys:
-            raise ParseError(
-                f"duplicate fact {predicate}({','.join(args)})", line=line, column=col
-            )
-        seen_keys[key] = tid
-        known = arities.setdefault(predicate, len(args))
-        if known != len(args):
-            raise ParseError(
-                f"arity clash for {predicate}: {known} vs {len(args)}",
-                line=line,
-                column=col,
-            )
-        facts.append(Fact(predicate, args, tid, exogenous))
-    return Instance(facts)
+    try:
+        return Instance(
+            Fact(predicate, args, i + 1 if tid is None else tid, exogenous)
+            for i, (exogenous, predicate, tid, args) in enumerate(facts)
+        )
+    except _FactError as exc:
+        line, col = positions[exc.index]
+        raise ParseError(str(exc), line=line, column=col) from None
 
 
 def dump_instance(inst: Instance) -> str:

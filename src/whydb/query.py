@@ -265,6 +265,24 @@ def _read_body(sc: Scanner) -> tuple[tuple[Atom, ...], tuple[tuple[Term, Term], 
         return tuple(atoms), tuple(ineqs)
 
 
+def _read_dc(sc: Scanner, line: int, col: int) -> DC:
+    """The body of a denial constraint whose `:-` was read at line:col."""
+    atoms, ineqs = _read_body(sc)
+    if not atoms:
+        raise ParseError(
+            "constraint body has no relational atom", line=line, column=col
+        )
+    return DC(CQ(atoms, ineqs))
+
+
+def _read_positions(sc: Scanner) -> tuple[int, ...]:
+    """A comma-separated list of 1-based attribute positions."""
+    positions = [sc.read_int("attribute position")]
+    while sc.try_token(","):
+        positions.append(sc.read_int("attribute position"))
+    return tuple(positions)
+
+
 def parse_query(text: str) -> UCQ:
     """Parse one or more rules sharing a head into a UCQ."""
     sc = Scanner(text)
@@ -327,12 +345,7 @@ def parse_constraints(
             break
         line, col = sc.line, sc.col
         if sc.try_token(":-"):
-            atoms, ineqs = _read_body(sc)
-            if not atoms:
-                raise ParseError(
-                    "constraint body has no relational atom", line=line, column=col
-                )
-            dc = DC(CQ(atoms, ineqs))
+            dc = _read_dc(sc, line, col)
             dcs.append(dc)
             labels.append(dc.render())
             continue
@@ -341,9 +354,7 @@ def parse_constraints(
             raise ParseError("expected ':-' or 'fd'", line=line, column=col)
         predicate = sc.read_identifier("predicate name")
         sc.expect(":")
-        determinants = [sc.read_int("attribute position")]
-        while sc.try_token(","):
-            determinants.append(sc.read_int("attribute position"))
+        determinants = _read_positions(sc)
         sc.expect("->")
         determined = sc.read_int("attribute position")
         sc.expect(".")

@@ -14,7 +14,7 @@ from typing import Iterable, Sequence, Union
 from ._scan import Scanner
 from .core import Instance
 from .errors import ArityMismatchError, IrreparableError, ParseError, UnknownTidError
-from .query import CQ, DC, ConstraintSet, _read_body, violations
+from .query import DC, ConstraintSet, _read_dc, _read_positions, violations
 
 INCONSISTENT = "inconsistent"
 CONSISTENT_NOT_MAXIMAL = "consistent_not_maximal"
@@ -55,10 +55,6 @@ class ReferentialConstraint:
 HardConstraint = Union[DC, ReferentialConstraint]
 
 
-def render_hard(constraint: HardConstraint) -> str:
-    return constraint.render()
-
-
 def satisfies_hard(inst: Instance, constraint: HardConstraint) -> bool:
     """Whether the instance satisfies one hard constraint."""
     if isinstance(constraint, ReferentialConstraint):
@@ -93,32 +89,21 @@ def parse_hard_constraints(text: str) -> list[HardConstraint]:
             return out
         line, col = sc.line, sc.col
         if sc.try_token(":-"):
-            atoms, ineqs = _read_body(sc)
-            if not atoms:
-                raise ParseError(
-                    "constraint body has no relational atom", line=line, column=col
-                )
-            out.append(DC(CQ(atoms, ineqs)))
+            out.append(_read_dc(sc, line, col))
             continue
         source = sc.read_identifier("predicate name or ':-'")
         sc.expect("[")
-        src_positions = [sc.read_int("attribute position")]
-        while sc.try_token(","):
-            src_positions.append(sc.read_int("attribute position"))
+        src_positions = _read_positions(sc)
         sc.expect("]")
         sc.expect("<=")
         target = sc.read_identifier("predicate name")
         sc.expect("[")
-        tgt_positions = [sc.read_int("attribute position")]
-        while sc.try_token(","):
-            tgt_positions.append(sc.read_int("attribute position"))
+        tgt_positions = _read_positions(sc)
         sc.expect("]")
         sc.expect(".")
         try:
             out.append(
-                ReferentialConstraint(
-                    source, tuple(src_positions), target, tuple(tgt_positions)
-                )
+                ReferentialConstraint(source, src_positions, target, tgt_positions)
             )
         except ValueError as exc:
             raise ParseError(str(exc), line=line, column=col) from None
@@ -215,21 +200,21 @@ def classify_subset(
 ) -> str:
     """Classify a retained tid-set directly from the definitions.
 
-    Consistency is checked on the sub-instance; maximality by re-adding each
-    deleted tuple. Sets that delete exogenous tuples are never repairs here,
-    and c_repair means an s_repair whose deletion count is globally minimal.
+    The set is consistent when it holds no violation edge, and maximal when
+    re-adding any deleted tuple completes one. Sets that delete exogenous
+    tuples are never repairs here, and c_repair means an s_repair whose
+    deletion count is globally minimal.
     """
     keep = frozenset(retained)
     unknown = keep - inst.tids
     if unknown:
         raise UnknownTidError(f"no tuple with tid {min(unknown)}")
-    if violations(inst.restrict(keep), cs):
+    edges = [e.tids for e in violations(inst, cs)]
+    if any(e <= keep for e in edges):
         return INCONSISTENT
     deleted = inst.tids - keep
-    for tid in sorted(deleted):
-        if not violations(inst.restrict(keep | {tid}), cs):
-            return CONSISTENT_NOT_MAXIMAL
-    if deleted - inst.endogenous_tids:
+    endo = inst.endogenous_tids
+    if deleted - endo or not all(any(e <= keep | {t} for e in edges) for t in deleted):
         return CONSISTENT_NOT_MAXIMAL
-    fewest = min(len(r.deleted) for r in s_repairs(inst, cs))
+    fewest = min(map(len, _minimal_hitting_sets([e & endo for e in edges])))
     return C_REPAIR if len(deleted) == fewest else S_REPAIR

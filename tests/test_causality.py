@@ -5,10 +5,12 @@ import pytest
 from whydb import (
     Fact,
     Instance,
+    IrreparableError,
     OpenQueryError,
     PreconditionError,
     UnknownTidError,
     actual_causes,
+    brute_causes,
     causes_under_ics,
     contingency_sets,
     counterfactual_causes,
@@ -23,6 +25,7 @@ from whydb import (
 )
 
 from conftest import QSTAR_TEXT
+from corpus import corpus
 
 HALF = Fraction(1, 2)
 ONE = Fraction(1)
@@ -208,3 +211,16 @@ def test_responsibility_formula_invariant(dstar, qstar):
 def test_minimum_contingency_sets_helper(dstar, qstar):
     report = next(r for r in actual_causes(dstar, qstar) if r.tid == 3)
     assert report.minimum_contingency_sets() == (frozenset({1}), frozenset({4}))
+
+
+def test_counterfactual_matches_oracle_on_corpus():
+    exogenous_witness = 0
+    for inst, q in corpus(200):
+        want = sorted(r.tid for r in brute_causes(inst, q) if r.is_counterfactual)
+        assert counterfactual_causes(inst, q) == want
+        try:
+            actual_causes(inst, q)
+        except IrreparableError:
+            exogenous_witness += 1
+            assert want == []
+    assert exogenous_witness > 0  # witnesses made of exogenous tuples only

@@ -276,6 +276,31 @@ def test_oracle_check_with_hard(files, capsys):
     assert json.loads(out)["ok"] is True
 
 
+def test_oracle_check_mismatch_exits_one(files, capsys, monkeypatch):
+    import whydb.cli
+
+    monkeypatch.setattr(whydb.cli, "s_repairs", lambda inst, cs, hard: [])
+    argv = ["oracle-check", "--db", files["dstar.facts"], "-q", QSTAR_TEXT]
+    code, out, err = run(capsys, argv)
+    assert code == 1 and err == ""
+    assert out.splitlines() == [
+        "s-repairs: MISMATCH main=[] oracle=[(1, 3), (3, 4), (6,)]",
+        "c-repairs: OK",
+        "causes: OK",
+    ]
+    code, out, _ = run(capsys, argv + ["--format", "json"])
+    assert code == 1
+    assert json.loads(out) == {
+        "schema": 1,
+        "ok": False,
+        "checks": [
+            {"name": "s-repairs", "ok": False},
+            {"name": "c-repairs", "ok": True},
+            {"name": "causes", "ok": True},
+        ],
+    }
+
+
 def test_oracle_check_needs_input(files, capsys):
     code, _, err = run(capsys, ["oracle-check", "--db", files["dstar.facts"]])
     assert code == 2 and "needs a query" in err

@@ -58,69 +58,75 @@ def _cases() -> dict[str, tuple[list[str], dict[str, str]]]:
 
     for fx, (q, cs) in FIXTURES.items():
         db = ["--db", f"{{dir}}/{fx}.facts"]
+        query = ["-q", q]
+        constraints = ["--constraints", f"{{dir}}/{cs}"]
         base = {
-            "repairs-s": ["repairs", *db, "--constraints", f"{{dir}}/{cs}"],
-            "repairs-c": ["repairs", *db, "--constraints", f"{{dir}}/{cs}", "--kind", "c"],
-            "causes": ["causes", *db, "-q", q],
-            "contingency": ["contingency", *db, "-q", q, "--tid", "1"],
-            "responsibility": ["responsibility", *db, "-q", q, "--tid", "1"],
-            "counterfactual": ["counterfactual", *db, "-q", q],
-            "most-responsible": ["most-responsible", *db, "-q", q],
-            "query": ["query", *db, "-q", q],
-            "emit-asp-repair": ["emit-asp", *db, "--constraints", f"{{dir}}/{cs}"],
-            "emit-asp-causality": ["emit-asp", *db, "-q", q],
-            "oracle-check": ["oracle-check", *db, "-q", q, "--constraints", f"{{dir}}/{cs}"],
+            "repairs-s": ["repairs", *db, *constraints],
+            "repairs-c": ["repairs", *db, *constraints, "--kind", "c"],
+            "causes": ["causes", *db, *query],
+            "contingency": ["contingency", *db, *query, "--tid", "1"],
+            "responsibility": ["responsibility", *db, *query, "--tid", "1"],
+            "counterfactual": ["counterfactual", *db, *query],
+            "most-responsible": ["most-responsible", *db, *query],
+            "query": ["query", *db, *query],
+            "emit-asp-repair": ["emit-asp", *db, *constraints],
+            "emit-asp-causality": ["emit-asp", *db, *query],
+            "oracle-check": ["oracle-check", *db, *query, *constraints],
         }
         for name, argv in base.items():
             for fmt in ("text", "json"):
                 add(f"{fx}/{name}.{fmt}", *argv, "--format", fmt)
 
     db = ["--db", "{dir}/dstar.facts"]
+    query = ["-q", QSTAR_TEXT]
+    kq = ["--constraints", "{dir}/kq.dc"]
     hard = ["--hard", "{dir}/hard.ref"]
     extras = {
-        "repairs-s-hard": ["repairs", *db, "--constraints", "{dir}/kq.dc", *hard],
-        "repairs-c-hard": ["repairs", *db, "--constraints", "{dir}/kq.dc", "--kind", "c", *hard],
-        "causes-hard": ["causes", *db, "-q", QSTAR_TEXT, *hard],
+        "repairs-s-hard": ["repairs", *db, *kq, *hard],
+        "repairs-c-hard": ["repairs", *db, *kq, "--kind", "c", *hard],
+        "causes-hard": ["causes", *db, *query, *hard],
         "causes-query-file": ["causes", *db, "--query-file", "{dir}/qstar.q"],
-        "contingency-tid6": ["contingency", *db, "-q", QSTAR_TEXT, "--tid", "6"],
-        "contingency-tid2": ["contingency", *db, "-q", QSTAR_TEXT, "--tid", "2"],
-        "responsibility-tid6": ["responsibility", *db, "-q", QSTAR_TEXT, "--tid", "6"],
-        "responsibility-tid2": ["responsibility", *db, "-q", QSTAR_TEXT, "--tid", "2"],
+        "contingency-tid6": ["contingency", *db, *query, "--tid", "6"],
+        "contingency-tid2": ["contingency", *db, *query, "--tid", "2"],
+        "responsibility-tid6": ["responsibility", *db, *query, "--tid", "6"],
+        "responsibility-tid2": ["responsibility", *db, *query, "--tid", "2"],
         "query-open": ["query", *db, "-q", "q(x) :- S(x), R(x,y), S(y)."],
         "query-open-empty": ["query", *db, "-q", "q(x) :- S(x), R(x,x), S(y), x != y."],
-        "emit-asp-hard": ["emit-asp", *db, "-q", QSTAR_TEXT, *hard],
+        "emit-asp-hard": ["emit-asp", *db, *query, *hard],
         "emit-asp-all-options": [
-            "emit-asp", *db, "-q", QSTAR_TEXT, "--dialect", "extended",
+            "emit-asp", *db, *query, "--dialect", "extended",
             "--no-cause-rules", "--contingency-union", "--responsibility-rules",
             "--weak-constraints",
         ],
-        "oracle-check-hard": ["oracle-check", *db, "-q", QSTAR_TEXT, *hard],
-        "oracle-check-constraints": ["oracle-check", *db, "--constraints", "{dir}/kq.dc"],
+        "oracle-check-hard": ["oracle-check", *db, *query, *hard],
+        "oracle-check-constraints": ["oracle-check", *db, *kq],
     }
     for dialect in DIALECTS:
-        extras[f"emit-asp-repair-{dialect}"] = [
-            "emit-asp", *db, "--constraints", "{dir}/kq.dc", "--dialect", dialect]
+        dialect_argv = ["--dialect", dialect]
+        extras[f"emit-asp-repair-{dialect}"] = ["emit-asp", *db, *kq, *dialect_argv]
         extras[f"emit-asp-causality-{dialect}"] = [
-            "emit-asp", *db, "-q", QSTAR_TEXT, "--dialect", dialect]
+            "emit-asp", *db, *query, *dialect_argv
+        ]
     for name, argv in extras.items():
         for fmt in ("text", "json"):
             add(f"dstar/{name}.{fmt}", *argv, "--format", fmt)
 
     # errors and exit codes
-    add("error/responsibility-unknown-tid", "responsibility", *db, "-q", QSTAR_TEXT, "--tid", "99")
+    tid99 = ["--tid", "99"]
+    add("error/responsibility-unknown-tid", "responsibility", *db, *query, *tid99)
     add("error/causes-open-query", "causes", *db, "-q", "q(x) :- S(x).")
-    add("error/causes-parse", "causes", "--db", "{dir}/broken.facts", "-q", QSTAR_TEXT)
-    add("error/causes-missing-file", "causes", "--db", "{dir}/missing.facts", "-q", QSTAR_TEXT)
+    add("error/causes-parse", "causes", "--db", "{dir}/broken.facts", *query)
+    add("error/causes-missing-file", "causes", "--db", "{dir}/missing.facts", *query)
     add("error/causes-bad-query", "causes", *db, "-q", "q :- S(x")
-    add("error/repairs-missing-constraints", "repairs", *db, "--constraints", "{dir}/none.dc")
+    none = ["--constraints", "{dir}/none.dc"]
+    add("error/repairs-missing-constraints", "repairs", *db, *none)
     add("error/emit-asp-no-source", "emit-asp", *db)
-    add("error/emit-asp-two-sources", "emit-asp", *db, "-q", QSTAR_TEXT,
-        "--constraints", "{dir}/kq.dc")
-    add("error/emit-asp-hard-repair", "emit-asp", *db, "--constraints", "{dir}/kq.dc", *hard)
+    add("error/emit-asp-two-sources", "emit-asp", *db, *query, *kq)
+    add("error/emit-asp-hard-repair", "emit-asp", *db, *kq, *hard)
     add("error/oracle-check-no-input", "oracle-check", *db)
-    add("error/oracle-check-guard", "oracle-check", *db, "-q", QSTAR_TEXT,
-        env={"WHYDB_ORACLE_GUARD": "2"})
-    add("error/usage-missing-db", "causes", "-q", QSTAR_TEXT)
+    guard = {"WHYDB_ORACLE_GUARD": "2"}
+    add("error/oracle-check-guard", "oracle-check", *db, *query, env=guard)
+    add("error/usage-missing-db", "causes", *query)
     add("error/usage-unknown-command", "no-such-command")
     add("error/usage-no-command")
     add("help/whydb", "--help")
@@ -134,8 +140,11 @@ def _run(argv: list[str], directory: Path, env: dict[str, str]) -> dict:
     out, err = io.StringIO(), io.StringIO()
     with patch.dict(os.environ, env), redirect_stdout(out), redirect_stderr(err):
         code = main(argv)
-    unplace = lambda s: s.replace(str(directory), "{dir}")
-    return {"exit": code, "stdout": unplace(out.getvalue()), "stderr": unplace(err.getvalue())}
+    return {
+        "exit": code,
+        "stdout": out.getvalue().replace(str(directory), "{dir}"),
+        "stderr": err.getvalue().replace(str(directory), "{dir}"),
+    }
 
 
 def _write_files(directory: Path) -> None:
@@ -169,6 +178,9 @@ if __name__ == "__main__":
     with tempfile.TemporaryDirectory() as tmp:
         directory = Path(tmp)
         _write_files(directory)
-        result = {name: _run(argv, directory, env) for name, (argv, env) in _cases().items()}
-    GOLDEN.write_text(json.dumps(result, indent=1, sort_keys=True) + "\n", encoding="utf-8")
+        result = {
+            name: _run(argv, directory, env) for name, (argv, env) in _cases().items()
+        }
+    text = json.dumps(result, indent=1, sort_keys=True) + "\n"
+    GOLDEN.write_text(text, encoding="utf-8")
     print(f"wrote {len(result)} cases to {GOLDEN}", file=sys.stderr)

@@ -80,6 +80,16 @@ def test_arity_clash():
         load_instance("P(a). P(a,b).")
 
 
+def test_errors_reported_in_file_order_with_position():
+    # explicit tids out of order: the later line is the offending one
+    with pytest.raises(ParseError, match=r"arity clash for P: 1 vs 2") as exc:
+        load_instance("P[2](a).\n  P[1](a,b).")
+    assert (exc.value.line, exc.value.column) == (2, 3)
+    with pytest.raises(ParseError, match="duplicate fact Q") as exc:
+        load_instance("Q[9](b). P[3](a). Q[1](b).")
+    assert (exc.value.line, exc.value.column) == (1, 19)
+
+
 def test_comments_and_whitespace():
     text = """
     % the running example, reformatted

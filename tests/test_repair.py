@@ -8,6 +8,7 @@ from whydb import (
     Repair,
     ReferentialConstraint,
     UnknownTidError,
+    brute_repairs,
     c_repairs,
     classify_subset,
     load_instance,
@@ -17,6 +18,7 @@ from whydb import (
     s_repairs,
     violations,
 )
+from whydb.oracle import _consistent
 from whydb.repair import (
     C_REPAIR,
     CONSISTENT_NOT_MAXIMAL,
@@ -26,6 +28,7 @@ from whydb.repair import (
 )
 
 from conftest import D1_ATOMS, D2_ATOMS, D3_ATOMS, retained_atoms
+from corpus import corpus
 
 
 @pytest.fixture
@@ -108,6 +111,9 @@ def test_classify_subset_never_blesses_exogenous_deletion():
     # {1} deletes the exogenous tuple: consistent and maximal, yet no repair
     assert classify_subset(inst, cs, {1}) == CONSISTENT_NOT_MAXIMAL
     assert classify_subset(inst, cs, {2}) == C_REPAIR
+    # an exogenous tuple in every violation does not make a cheaper repair
+    inst = load_instance("@exo P(a). Q(a,b). Q(a,c).")
+    assert classify_subset(inst, cs, {1}) == C_REPAIR
 
 
 def test_every_returned_repair_classifies(dstar, kq):
@@ -176,3 +182,24 @@ def test_repairs_deterministic(dstar, kq):
 def test_empty_constraint_set_is_trivially_consistent(dstar):
     cs = parse_constraints("")
     assert s_repairs(dstar, cs) == [Repair(dstar.tids, frozenset())]
+
+
+def test_classify_subset_matches_oracle_on_corpus():
+    classified = 0
+    for inst, q in corpus(200):
+        if len(inst) > 8:
+            continue
+        cs = negate_query(q)
+        repairs = {r.retained: r.c_repair for r in brute_repairs(inst, cs)}
+        tids = sorted(inst.tids)
+        for mask in range(2 ** len(tids)):
+            keep = frozenset(t for i, t in enumerate(tids) if mask >> i & 1)
+            if keep in repairs:
+                want = C_REPAIR if repairs[keep] else S_REPAIR
+            elif _consistent([inst.fact(t) for t in sorted(keep)], cs):
+                want = CONSISTENT_NOT_MAXIMAL
+            else:
+                want = INCONSISTENT
+            assert classify_subset(inst, cs, keep) == want, (inst.to_text(), q, keep)
+            classified += 1
+    assert classified > 1000
