@@ -48,5 +48,10 @@ class EmitError(WhydbError):
     predicate names collide under the nickname scheme."""
 
 
+class BudgetExceededError(WhydbError):
+    """A search outgrew what whydb can run to the end, e.g. a repair search
+    nested deeper than Python's recursion limit."""
+
+
 class OracleGuardError(WhydbError):
     """The instance exceeds the size guard of the brute-force oracle."""

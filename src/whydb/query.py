@@ -471,24 +471,66 @@ def _match(atom: Atom, fact: Fact, binding: dict[str, str]) -> dict[str, str] | 
     return result
 
 
+def _plan(cq: CQ) -> list[tuple[Atom, int | None]]:
+    """The atoms of cq in join order, each with the position to probe on.
+
+    Greedy, bind before you scan: the next atom is the one with the most
+    terms that are constants or variables bound by earlier atoms; ties keep
+    query order. Its probe position is its first such term, or None when
+    nothing is bound yet and the atom has to scan its predicate.
+    """
+    remaining = list(cq.atoms)
+    bound: set[str] = set()
+    plan: list[tuple[Atom, int | None]] = []
+
+    def is_bound(term: Term) -> bool:
+        return not isinstance(term, Var) or term.name in bound
+
+    while remaining:
+        best = max(
+            range(len(remaining)),
+            key=lambda i: sum(map(is_bound, remaining[i].terms)),
+        )
+        atom = remaining.pop(best)
+        probe = next((p for p, t in enumerate(atom.terms) if is_bound(t)), None)
+        plan.append((atom, probe))
+        bound |= atom.variables()
+    return plan
+
+
 def _solutions(
     inst: Instance, cq: CQ
 ) -> Iterator[tuple[dict[str, str], tuple[Fact, ...]]]:
     """All homomorphisms of cq into inst that satisfy the inequalities.
 
-    Naive backtracking join in query-atom order; facts are tried in tid
-    order, so the enumeration is deterministic.
+    A backtracking join over the atoms in `_plan` order. An atom with a
+    bound term looks its candidates up in a value index on the probe
+    position, built once per call; an atom with none scans its predicate.
+    `_match` and the inequalities still check every term, so the index only
+    narrows the candidates. Candidates come in tid order, so the
+    enumeration is deterministic; `picked` lists the facts in plan order.
     """
     _check_arities(inst, cq)
-    atoms = cq.atoms
+    indexes: dict[tuple[str, int], dict[str, list[Fact]]] = {}
+    steps = _plan(cq)
+    for atom, probe in steps:
+        if probe is not None and (atom.predicate, probe) not in indexes:
+            index = indexes[atom.predicate, probe] = {}
+            for fact in inst.of_predicate(atom.predicate):
+                index.setdefault(fact.args[probe], []).append(fact)
 
     def extend(i: int, binding: dict[str, str], picked: list[Fact]):
-        if i == len(atoms):
+        if i == len(steps):
             if _inequalities_ok(cq, binding, partial=False):
                 yield dict(binding), tuple(picked)
             return
-        atom = atoms[i]
-        for fact in inst.of_predicate(atom.predicate):
+        atom, probe = steps[i]
+        if probe is None:
+            candidates = inst.of_predicate(atom.predicate)
+        else:
+            value = _ground(atom.terms[probe], binding)
+            candidates = indexes[atom.predicate, probe].get(value, ())
+        for fact in candidates:
             extended = _match(atom, fact, binding)
             if extended is None:
                 continue

@@ -8,12 +8,19 @@ exogenous tuples alone is irreparable.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from typing import Iterable, Sequence, Union
 
 from ._scan import Scanner
 from .core import Instance
-from .errors import ArityMismatchError, IrreparableError, ParseError, UnknownTidError
+from .errors import (
+    ArityMismatchError,
+    BudgetExceededError,
+    IrreparableError,
+    ParseError,
+    UnknownTidError,
+)
 from .query import DC, ConstraintSet, _read_dc, _read_positions, violations
 
 INCONSISTENT = "inconsistent"
@@ -116,7 +123,8 @@ def _minimal_hitting_sets(edges: Sequence[frozenset[int]]) -> list[frozenset[int
     order; elements already tried at a node are banned in later branches, so
     no selection is generated twice. A completed selection is kept only if
     every chosen element is the sole cover of some edge, which is exactly
-    minimality.
+    minimality. The search recurses once per chosen element; a search
+    nested deeper than the recursion limit raises BudgetExceededError.
     """
     order = sorted(set(edges), key=lambda e: tuple(sorted(e)))
     found: list[frozenset[int]] = []
@@ -136,7 +144,14 @@ def _minimal_hitting_sets(edges: Sequence[frozenset[int]]) -> list[frozenset[int
             search(chosen | {t}, blocked)
             blocked = blocked | {t}
 
-    search(frozenset(), frozenset())
+    try:
+        search(frozenset(), frozenset())
+    except RecursionError:
+        limit = sys.getrecursionlimit()
+        raise BudgetExceededError(
+            f"repair search over {len(edges)} violation edges needs more "
+            f"nested steps than the recursion limit ({limit}) allows"
+        ) from None
     return found
 
 

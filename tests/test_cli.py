@@ -326,6 +326,21 @@ def test_exit_code_irreparable(files, capsys):
     assert "exogenous" in err
 
 
+def test_deep_repair_search_is_a_budget_error(tmp_path, capsys):
+    # 1100 disjoint FD conflicts: each C-repair deletes 1100 tuples, one
+    # nested search step each, past the recursion limit
+    db = tmp_path / "conflicts.facts"
+    db.write_text("".join(f"T(k{i},a). T(k{i},b).\n" for i in range(1100)))
+    fds = tmp_path / "fd.dc"
+    fds.write_text("fd T: 1 -> 2.")
+    code, out, err = run(
+        capsys, ["repairs", "--kind", "c", "--db", str(db), "--constraints", str(fds)]
+    )
+    assert code == 1 and out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("error: ")
+    assert "1100 violation edges" in err and "Traceback" not in err
+
+
 def test_exit_code_open_query_precondition(files, capsys):
     code, _, err = run(
         capsys, ["causes", "--db", files["dstar.facts"], "-q", "q(x) :- S(x)."]

@@ -1,9 +1,14 @@
+import itertools
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from whydb import (
     ArityMismatchError,
+    Fact,
+    Instance,
     OpenQueryError,
     ParseError,
     SafetyError,
@@ -16,7 +21,7 @@ from whydb import (
     parse_query,
     violations,
 )
-from whydb.query import FD, ConstraintSet, Var
+from whydb.query import CQ, DC, FD, ConstraintSet, ViolationEdge, Var, _plan
 
 from conftest import DSTAR_TEXT, K12_TEXT, QSTAR_TEXT
 
@@ -117,17 +122,34 @@ def test_fd_to_dc_smallest_shape():
     assert dc.body.inequalities == ((Var("z1"), Var("z2")),)
 
 
-def test_fd_violations_are_exactly_disagreeing_pairs():
+def _disagreeing_pairs(inst):
     # brute force: pairs agreeing on the determinant, differing at position 2
-    inst = load_instance("P(a,b). P(a,c). P(b,b). P(c,d). P(c,d2). P(c,e).")
-    dc = fd_to_dc(FD("P", frozenset({1}), 2), 2)
     expected = set()
     for f1 in inst.facts:
         for f2 in inst.facts:
             if f1.tid != f2.tid and f1.args[0] == f2.args[0] and f1.args[1] != f2.args[1]:
                 expected.add(frozenset({f1.tid, f2.tid}))
+    return expected
+
+
+def test_fd_violations_are_exactly_disagreeing_pairs():
+    inst = load_instance("P(a,b). P(a,c). P(b,b). P(c,d). P(c,d2). P(c,e).")
+    dc = fd_to_dc(FD("P", frozenset({1}), 2), 2)
     got = {e.tids for e in violations(inst, ConstraintSet((dc,)))}
-    assert got == expected
+    assert got == _disagreeing_pairs(inst)
+
+
+def test_fd_violations_above_the_oracle_guard():
+    # 2000 distinct P(k_i, v_j) over 500 keys and 5 values
+    rng = random.Random(1)
+    keys = set()
+    while len(keys) < 2000:
+        keys.add((f"k{rng.randrange(500)}", f"v{rng.randrange(5)}"))
+    inst = Instance(Fact("P", args, i) for i, args in enumerate(sorted(keys), 1))
+    dc = fd_to_dc(FD("P", frozenset({1}), 2), 2)
+    edges = violations(inst, ConstraintSet((dc,)))
+    assert len(edges) == len({e.tids for e in edges})
+    assert {e.tids for e in edges} == _disagreeing_pairs(inst)
 
 
 def test_negate_query_single_disjunct():
@@ -226,6 +248,9 @@ def test_arity_mismatch_raises():
     inst = load_instance(DSTAR_TEXT)
     with pytest.raises(ArityMismatchError):
         eval_bcq(inst, parse_query("q :- R(x)."))
+    # checked before the join, which would stop at the absent Z
+    with pytest.raises(ArityMismatchError):
+        eval_bcq(inst, parse_query("q :- Z(x), R(x)."))
     with pytest.raises(ArityMismatchError):
         violations(inst, parse_constraints(":- R(x)."))
 
@@ -255,8 +280,6 @@ _QUERIES = [
 @st.composite
 def small_instances(draw):
     keys = draw(st.lists(st.sampled_from(_SPACE), unique=True, max_size=7))
-    from whydb import Fact, Instance
-
     return Instance(Fact(p, args, i + 1) for i, (p, args) in enumerate(keys))
 
 
@@ -266,3 +289,135 @@ def test_monotone_under_insertion(inst, query_text, dropped):
     q = parse_query(query_text)
     sub = inst.without(dropped)
     assert answers(sub, q) <= answers(inst, q)
+
+
+# -- the planned, indexed join against references ---------------------------
+
+
+def _binds(atom, fact, binding):
+    for term, value in zip(atom.terms, fact.args):
+        if isinstance(term, Var):
+            if binding.setdefault(term.name, value) != value:
+                return False
+        elif term != value:
+            return False
+    return True
+
+
+def _reference_solutions(inst, cq):
+    """Every binding of cq, by trying each product of candidate facts."""
+    candidates = [inst.of_predicate(atom.predicate) for atom in cq.atoms]
+    for picked in itertools.product(*candidates):
+        binding = {}
+        if not all(_binds(a, f, binding) for a, f in zip(cq.atoms, picked)):
+            continue
+        ground = lambda t: binding[t.name] if isinstance(t, Var) else t
+        if all(ground(l) != ground(r) for l, r in cq.inequalities):
+            yield binding, picked
+
+
+def _reference_violations(inst, cs):
+    edges = {
+        (frozenset(f.tid for f in picked), index)
+        for index, dc in enumerate(cs.dcs)
+        for _, picked in _reference_solutions(inst, dc.body)
+    }
+    return [
+        ViolationEdge(tids, index)
+        for tids, index in sorted(edges, key=lambda e: (sorted(e[0]), e[1]))
+    ]
+
+
+_JOIN_SPACE = (
+    [("U", (c,)) for c in "abc"]
+    + [("B", (c, d)) for c in "abc" for d in "abc"]
+    + [("T", (c, d, e)) for c in "abc" for d in "abc" for e in "abc"]
+)
+_JOIN_QUERIES = [
+    'q :- B(x,"a"), U(x).',
+    "q :- B(x,x).",
+    "q :- B(x,y), B(y,x).",
+    "q :- T(x,y,z), T(x,y,w).",
+    "q :- T(x,y,z), T(x,y,w), z != w.",
+    'q :- T(x,y,z), z != "b".',
+    'q :- B(x,y), U(y), x != "a".',
+    'q :- U(x), T(y,z,w), B(z,"c"), B(x,y).',
+    "q :- T(x,x,y), B(y,x), U(x).",
+    "q :- U(x), Z(x).",
+    "q :- U(x), B(x,y), U(y).\nq :- T(x,x,y), y != x.",
+    "q(x,y) :- B(x,y), T(y,z,x).",
+    "q(x) :- U(x), B(x,y), y != x.",
+    'q(x) :- U(x).\nq(x) :- B(x,"b").',
+]
+_JOIN_FDS = "fd B: 1 -> 2.\nfd T: 1,2 -> 3.\nfd T: 3 -> 1."
+
+
+@st.composite
+def join_instances(draw):
+    keys = draw(st.lists(st.sampled_from(_JOIN_SPACE), unique=True, max_size=12))
+    tids = draw(st.permutations(range(1, len(keys) + 1)))
+    return Instance(Fact(p, args, t) for t, (p, args) in zip(tids, keys))
+
+
+@settings(deadline=None, max_examples=300)
+@given(join_instances(), st.sampled_from(_JOIN_QUERIES))
+def test_join_matches_product_of_candidates(inst, query_text):
+    q = parse_query(query_text)
+    expected = {
+        tuple(binding[v] for v in q.free_vars)
+        for cq in q.disjuncts
+        for binding, _ in _reference_solutions(inst, cq)
+    }
+    assert answers(inst, q) == expected
+    if q.is_boolean:
+        assert eval_bcq(inst, q) == bool(expected)
+    cs = ConstraintSet(tuple(DC(CQ(cq.atoms, cq.inequalities)) for cq in q.disjuncts))
+    assert violations(inst, cs) == _reference_violations(inst, cs)
+
+
+@settings(deadline=None)
+@given(join_instances())
+def test_fd_join_matches_product_of_candidates(inst):
+    cs = parse_constraints(_JOIN_FDS, {"U": 1, "B": 2, "T": 3})
+    assert violations(inst, cs) == _reference_violations(inst, cs)
+
+
+def test_plan_binds_before_it_scans():
+    cq = parse_query('q :- U(x), T(y,z,w), B(z,"c"), B(x,y).').disjuncts[0]
+    assert [(a.render(), probe) for a, probe in _plan(cq)] == [
+        ('B(z, "c")', 1),
+        ("T(y, z, w)", 1),
+        ("B(x, y)", 1),
+        ("U(x)", 0),
+    ]
+    # ties keep query order, and an atom with nothing bound scans
+    cq = parse_query("q :- S(x), R(x,y), S(y).").disjuncts[0]
+    assert [probe for _, probe in _plan(cq)] == [None, 0, 0]
+
+
+def test_chain_3000_violations_above_the_oracle_guard():
+    # ROADMAP's chain-n generator at n = 3000, seed 1
+    rng = random.Random(1)
+    facts, seen = [], set()
+    while len(facts) < 3000:
+        if rng.random() < 0.5:
+            key = ("S", (f"a{rng.randrange(1500)}",))
+        else:
+            key = ("R", (f"a{rng.randrange(1500)}", f"a{rng.randrange(1500)}"))
+        if key not in seen:
+            seen.add(key)
+            facts.append(key)
+    inst = Instance(Fact(p, args, i) for i, (p, args) in enumerate(facts, 1))
+    s_tid = {f.args[0]: f.tid for f in inst.of_predicate("S")}
+    expected = sorted(
+        {
+            frozenset((s_tid[f.args[0]], f.tid, s_tid[f.args[1]]))
+            for f in inst.of_predicate("R")
+            if f.args[0] in s_tid and f.args[1] in s_tid
+        },
+        key=sorted,
+    )
+    edges = violations(inst, negate_query(parse_query(QSTAR_TEXT)))
+    assert len(expected) == 998
+    assert [e.tids for e in edges] == expected
+    assert {e.constraint_index for e in edges} == {0}

@@ -3,6 +3,7 @@ import pytest
 from whydb import (
     DC,
     ArityMismatchError,
+    BudgetExceededError,
     IrreparableError,
     ParseError,
     Repair,
@@ -44,6 +45,12 @@ def test_minimal_hitting_sets_basic():
 
 def test_minimal_hitting_sets_no_edges():
     assert _minimal_hitting_sets([]) == [frozenset()]
+
+
+def test_minimal_hitting_sets_too_deep_is_a_budget_error():
+    edges = [frozenset({2 * i + 1, 2 * i + 2}) for i in range(1100)]
+    with pytest.raises(BudgetExceededError, match="1100 violation edges"):
+        _minimal_hitting_sets(edges)
 
 
 def test_s_repairs_running_example(dstar, kq):
