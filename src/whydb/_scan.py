@@ -1,4 +1,8 @@
-"""Cursor over input text with line/column tracking, shared by the parsers."""
+"""Cursor over input text, shared by the parsers.
+
+The cursor is a character offset into the text. Line and column are worked
+out from an offset only when an error is reported.
+"""
 
 from __future__ import annotations
 
@@ -8,89 +12,59 @@ from .errors import ParseError
 
 IDENTIFIER_RE = re.compile(r"[A-Za-z][A-Za-z0-9_]*")
 _INT_RE = re.compile(r"\d+")
+# Layout: whitespace, and `%` comments that run to the end of the line.
+_LAYOUT_RE = re.compile(r"(?:[ \t\r\n]+|%[^\n]*)*")
 
 
 class Scanner:
-    __slots__ = ("text", "pos", "line", "col")
+    __slots__ = ("text", "pos")
 
     def __init__(self, text: str):
         self.text = text
         self.pos = 0
-        self.line = 1
-        self.col = 1
 
     def eof(self) -> bool:
         return self.pos >= len(self.text)
 
-    def peek(self) -> str:
-        return self.text[self.pos] if self.pos < len(self.text) else ""
-
-    def advance(self, n: int = 1) -> str:
-        taken = self.text[self.pos : self.pos + n]
-        for ch in taken:
-            if ch == "\n":
-                self.line += 1
-                self.col = 1
-            else:
-                self.col += 1
-        self.pos += n
-        return taken
-
     def skip_layout(self) -> None:
-        """Skip whitespace and `%` comments (which run to end of line)."""
-        while not self.eof():
-            ch = self.peek()
-            if ch in " \t\r\n":
-                self.advance()
-            elif ch == "%":
-                while not self.eof() and self.peek() != "\n":
-                    self.advance()
-            else:
-                break
+        self.pos = _LAYOUT_RE.match(self.text, self.pos).end()
 
-    def error(self, message: str) -> ParseError:
-        return ParseError(message, line=self.line, column=self.col)
+    def lookahead_after_layout(self, offset: int = 0) -> str:
+        """First non-layout character at or after pos+offset, without consuming."""
+        i = _LAYOUT_RE.match(self.text, self.pos + offset).end()
+        return self.text[i : i + 1]
+
+    def error(
+        self, message: str, at: int | None = None, kind: type[ParseError] = ParseError
+    ) -> ParseError:
+        """A `kind` error placed at offset `at` (default: the cursor). Lines
+        are counted by `\\n`; every other character is one column."""
+        at = self.pos if at is None else at
+        line = self.text.count("\n", 0, at) + 1
+        return kind(message, line=line, column=at - self.text.rfind("\n", 0, at))
 
     def expect(self, token: str) -> None:
-        self.skip_layout()
-        if not self.text.startswith(token, self.pos):
+        if not self.try_token(token):
             raise self.error(f"expected {token!r}")
-        self.advance(len(token))
 
     def try_token(self, token: str) -> bool:
         self.skip_layout()
         if self.text.startswith(token, self.pos):
-            self.advance(len(token))
+            self.pos += len(token)
             return True
         return False
 
-    def read_identifier(self, what: str) -> str:
+    def read(self, pattern: re.Pattern, what: str) -> str:
+        """Skip layout, then consume a match of `pattern` or raise `expected <what>`."""
         self.skip_layout()
-        m = IDENTIFIER_RE.match(self.text, self.pos)
+        m = pattern.match(self.text, self.pos)
         if not m:
             raise self.error(f"expected {what}")
-        self.advance(m.end() - self.pos)
+        self.pos = m.end()
         return m.group()
 
-    def read_int(self, what: str) -> int:
-        self.skip_layout()
-        m = _INT_RE.match(self.text, self.pos)
-        if not m:
-            raise self.error(f"expected {what}")
-        self.advance(m.end() - self.pos)
-        return int(m.group())
+    def read_identifier(self, what: str) -> str:
+        return self.read(IDENTIFIER_RE, what)
 
-    def lookahead_after_layout(self, offset: int = 0) -> str:
-        """First non-layout character at or after pos+offset, without consuming."""
-        i = self.pos + offset
-        text = self.text
-        while i < len(text):
-            ch = text[i]
-            if ch in " \t\r\n":
-                i += 1
-            elif ch == "%":
-                while i < len(text) and text[i] != "\n":
-                    i += 1
-            else:
-                return ch
-        return ""
+    def read_int(self, what: str) -> int:
+        return int(self.read(_INT_RE, what))

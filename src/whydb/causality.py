@@ -59,34 +59,27 @@ def dif_c(inst: Instance, q: UCQ, t: int) -> list[DiffSet]:
     return [DiffSet(r.deleted, "c_repair") for r in reps if t in r.deleted]
 
 
-def _sorted_sets(sets) -> tuple[frozenset[int], ...]:
-    return tuple(sorted(set(sets), key=lambda s: (len(s), tuple(sorted(s)))))
-
-
 def _reports(
     inst: Instance, q: UCQ, hard: Sequence[HardConstraint]
 ) -> list[CauseReport]:
-    cs = negate_query(q)
-    diffs = [r.deleted for r in s_repairs(inst, cs, hard) if r.deleted]
-    if not diffs:
-        return []
-    smallest = min(len(d) for d in diffs)
-    c_diffs = [d for d in diffs if len(d) == smallest]
-    reports = []
-    for t in sorted(inst.endogenous_tids):
-        mine = [d for d in diffs if t in d]
-        if not mine:
-            continue
-        gammas = _sorted_sets(d - {t} for d in mine)
-        reports.append(
-            CauseReport(
-                tid=t,
-                responsibility=Fraction(1, min(len(d) for d in mine)),
-                minimal_contingency_sets=gammas,
-                is_counterfactual=frozenset({t}) in mine,
-                is_most_responsible=any(t in d for d in c_diffs),
-            )
+    """One report per tuple in some S-repair difference. The differences
+    come sorted by (size, tids), and removing t from each keeps that order,
+    so every tuple's contingency sets arrive sorted and distinct."""
+    diffs = [r.deleted for r in s_repairs(inst, negate_query(q), hard) if r.deleted]
+    gammas: dict[int, list[frozenset[int]]] = {}
+    for d in diffs:
+        for t in d:
+            gammas.setdefault(t, []).append(d - {t})
+    reports = [
+        CauseReport(
+            tid=t,
+            responsibility=Fraction(1, len(sets[0]) + 1),
+            minimal_contingency_sets=tuple(sets),
+            is_counterfactual=not sets[0],
+            is_most_responsible=len(sets[0]) + 1 == len(diffs[0]),
         )
+        for t, sets in gammas.items()
+    ]
     reports.sort(key=lambda r: (-r.responsibility, r.tid))
     return reports
 
@@ -120,15 +113,13 @@ def contingency_sets(inst: Instance, q: UCQ, t: int) -> list[frozenset[int]]:
         raise PreconditionError(
             f"exogenous tuples cannot be causes: {fact.render()}"
         )
-    return list(_sorted_sets(d.deleted - {t} for d in dif_s(inst, q, t)))
+    return [d.deleted - {t} for d in dif_s(inst, q, t)]
 
 
 def responsibility(inst: Instance, q: UCQ, t: int) -> Fraction:
     """1/|s| for a smallest S-repair difference containing t; 0 for non-causes."""
     diffs = dif_s(inst, q, t)
-    if not diffs:
-        return Fraction(0)
-    return Fraction(1, min(len(d.deleted) for d in diffs))
+    return Fraction(1, len(diffs[0].deleted)) if diffs else Fraction(0)
 
 
 def counterfactual_causes(inst: Instance, q: UCQ) -> list[int]:

@@ -188,10 +188,6 @@ def _cmd_query(args, inst):
 
 def _cmd_emit_asp(args, inst):
     dialect = AspDialect(args.dialect.replace("-", "_"))
-    if _has_query(args) == bool(args.constraints):
-        raise _UsageError(
-            "emit-asp needs exactly one of a query (-q/--query-file) or --constraints"
-        )
     if _has_query(args):
         opts = CausalityOptions(
             cause_rules=not args.no_cause_rules,
@@ -201,8 +197,6 @@ def _cmd_emit_asp(args, inst):
             hard_constraints=tuple(_hard(args)),
         )
         program = emit_causality_program(inst, _query(args), dialect, opts)
-    elif args.hard:
-        raise _UsageError("--hard applies to causality programs only")
     else:
         program = emit_repair_program(inst, _constraints(args, inst), dialect)
     if args.format == "json":
@@ -339,6 +333,21 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _check_sources(args) -> None:
+    """Usage errors in the query and constraint arguments, found before any
+    file is read."""
+    if args.command == "emit-asp":
+        if _has_query(args) == bool(args.constraints):
+            raise _UsageError(
+                "emit-asp needs exactly one of a query (-q/--query-file) "
+                "or --constraints"
+            )
+        if args.constraints and args.hard:
+            raise _UsageError("--hard applies to causality programs only")
+    if args.command == "oracle-check" and not (args.constraints or _has_query(args)):
+        raise _UsageError("oracle-check needs a query or --constraints")
+
+
 def main(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
     try:
@@ -346,10 +355,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
     try:
-        if args.command == "oracle-check" and not (
-            args.constraints or _has_query(args)
-        ):
-            raise _UsageError("oracle-check needs a query or --constraints")
+        _check_sources(args)
         inst = load_instance(_read_file(args.db))
         try:
             output, code = args.handler(args, inst), 0

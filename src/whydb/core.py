@@ -9,19 +9,21 @@ tids are assigned 1, 2, 3, ... in file order.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Mapping
 
 from ._scan import IDENTIFIER_RE, Scanner
-from .errors import ParseError, UnknownTidError
+from .errors import UnknownTidError
 
 # Constants are opaque symbols; they may not contain separators the fact
 # grammar needs (commas, parentheses, whitespace) nor the comment character.
-_CONSTANT_STOP = set(",() \t\r\n%")
+CONSTANT_STOP = ",() \t\r\n%"
+CONSTANT_RE = re.compile(f"[^{re.escape(CONSTANT_STOP)}]+")
 
 
 def is_constant(symbol: str) -> bool:
-    return bool(symbol) and not any(ch in _CONSTANT_STOP for ch in symbol)
+    return CONSTANT_RE.fullmatch(symbol) is not None
 
 
 @dataclass(frozen=True)
@@ -173,19 +175,6 @@ def tuple_by_tid(inst: Instance, tid: int) -> Fact:
     return inst.fact(tid)
 
 
-def _read_constant(sc: Scanner) -> str:
-    sc.skip_layout()
-    start = sc.pos
-    text = sc.text
-    i = start
-    while i < len(text) and text[i] not in _CONSTANT_STOP:
-        i += 1
-    if i == start:
-        raise sc.error("expected a constant")
-    sc.advance(i - start)
-    return text[start:i]
-
-
 def load_instance(text: str) -> Instance:
     """Parse a fact file into an Instance.
 
@@ -195,36 +184,34 @@ def load_instance(text: str) -> Instance:
     """
     sc = Scanner(text)
     facts: list[tuple[bool, str, int | None, tuple[str, ...]]] = []
-    positions: list[tuple[int, int]] = []
+    starts: list[int] = []
     while True:
         sc.skip_layout()
         if sc.eof():
             break
-        line, col = sc.line, sc.col
+        start = sc.pos
         exogenous = sc.try_token("@exo")
         predicate = sc.read_identifier("predicate name")
         tid = None
         if sc.try_token("["):
             tid = sc.read_int("tuple identifier")
             if tid < 1:
-                raise ParseError("tids must be positive", line=line, column=col)
+                raise sc.error("tids must be positive", at=start)
             sc.expect("]")
         sc.expect("(")
-        args = [_read_constant(sc)]
+        args = [sc.read(CONSTANT_RE, "a constant")]
         while sc.try_token(","):
-            args.append(_read_constant(sc))
+            args.append(sc.read(CONSTANT_RE, "a constant"))
         sc.expect(")")
         sc.expect(".")
         facts.append((exogenous, predicate, tid, tuple(args)))
-        positions.append((line, col))
+        starts.append(start)
 
     implicit = [i for i, fact in enumerate(facts) if fact[2] is None]
     if implicit and len(implicit) != len(facts):
-        line, col = positions[implicit[0]]
-        raise ParseError(
+        raise sc.error(
             "mixed tid modes: every fact must carry an explicit tid or none may",
-            line=line,
-            column=col,
+            at=starts[implicit[0]],
         )
     try:
         return Instance(
@@ -232,8 +219,7 @@ def load_instance(text: str) -> Instance:
             for i, (exogenous, predicate, tid, args) in enumerate(facts)
         )
     except _FactError as exc:
-        line, col = positions[exc.index]
-        raise ParseError(str(exc), line=line, column=col) from None
+        raise sc.error(str(exc), at=starts[exc.index]) from None
 
 
 def dump_instance(inst: Instance) -> str:

@@ -22,11 +22,10 @@ from dataclasses import dataclass
 from typing import Iterator, Mapping, Union
 
 from ._scan import IDENTIFIER_RE, Scanner
-from .core import Fact, Instance, is_constant
+from .core import CONSTANT_STOP, Fact, Instance, is_constant
 from .errors import (
     ArityMismatchError,
     OpenQueryError,
-    ParseError,
     SafetyError,
 )
 
@@ -210,37 +209,35 @@ class ViolationEdge:
 
 # -- parsing ---------------------------------------------------------------
 
-_RAW_TERM_STOP = set(",()!=\". \t\r\n%")
+# A bare term in a rule: the constant grammar, also stopped by the
+# characters rules need for inequalities, quoted constants and periods.
+_RAW_TERM_RE = re.compile("[^%s]+" % re.escape(CONSTANT_STOP + '!=".'))
+_QUOTED_RE = re.compile(r'"([^"\n]*)("?)')
 
 
 def _read_term(sc: Scanner) -> Term:
     sc.skip_layout()
-    ch = sc.peek()
-    if ch == '"':
-        sc.advance()
-        start = sc.pos
-        while not sc.eof() and sc.peek() not in ('"', "\n"):
-            sc.advance()
-        if sc.peek() != '"':
-            raise sc.error("unterminated quoted constant")
-        value = sc.text[start : sc.pos]
-        sc.advance()
+    quoted = _QUOTED_RE.match(sc.text, sc.pos)
+    if quoted:
+        value, closed = quoted.groups()
+        if not closed:
+            raise sc.error("unterminated quoted constant", at=quoted.end())
+        sc.pos = quoted.end()
         if not is_constant(value):
             raise sc.error(f"bad constant {value!r}")
         return value
     m = VARIABLE_RE.match(sc.text, sc.pos)
     if m:
-        sc.advance(m.end() - sc.pos)
+        sc.pos = m.end()
         return Var(m.group())
-    start = sc.pos
-    while not sc.eof() and sc.peek() not in _RAW_TERM_STOP:
-        sc.advance()
-    if sc.pos == start:
-        raise sc.error("expected a term")
-    return sc.text[start : sc.pos]
+    return sc.read(_RAW_TERM_RE, "a term")
 
 
-def _read_body(sc: Scanner) -> tuple[tuple[Atom, ...], tuple[tuple[Term, Term], ...]]:
+def _read_body(
+    sc: Scanner, start: int, what: str
+) -> tuple[tuple[Atom, ...], tuple[tuple[Term, Term], ...]]:
+    """The atoms and inequalities of the `what` ("rule" or "constraint")
+    that starts at offset `start`, up to its closing period."""
     atoms: list[Atom] = []
     ineqs: list[tuple[Term, Term]] = []
     while True:
@@ -262,17 +259,22 @@ def _read_body(sc: Scanner) -> tuple[tuple[Atom, ...], tuple[tuple[Term, Term], 
         if sc.try_token(","):
             continue
         sc.expect(".")
+        if not atoms:
+            raise sc.error(f"{what} body has no relational atom", at=start)
         return tuple(atoms), tuple(ineqs)
 
 
-def _read_dc(sc: Scanner, line: int, col: int) -> DC:
-    """The body of a denial constraint whose `:-` was read at line:col."""
-    atoms, ineqs = _read_body(sc)
-    if not atoms:
-        raise ParseError(
-            "constraint body has no relational atom", line=line, column=col
-        )
-    return DC(CQ(atoms, ineqs))
+def _cq(sc: Scanner, start: int, atoms, ineqs, free_vars=()) -> CQ:
+    """The CQ of the statement at offset `start`, where a SafetyError points."""
+    try:
+        return CQ(atoms, ineqs, free_vars)
+    except SafetyError as exc:
+        raise sc.error(str(exc), at=start, kind=SafetyError) from None
+
+
+def _read_dc(sc: Scanner, start: int) -> DC:
+    """The body of a denial constraint whose `:-` starts at offset `start`."""
+    return DC(_cq(sc, start, *_read_body(sc, start, "constraint")))
 
 
 def _read_positions(sc: Scanner) -> tuple[int, ...]:
@@ -291,38 +293,33 @@ def parse_query(text: str) -> UCQ:
         sc.skip_layout()
         if sc.eof():
             break
-        line, col = sc.line, sc.col
+        start = sc.pos
         head_name = sc.read_identifier("rule head")
         head_vars: list[str] = []
         if sc.try_token("("):
             while True:
                 term = _read_term(sc)
                 if not isinstance(term, Var):
-                    raise ParseError(
-                        "head arguments must be variables", line=line, column=col
-                    )
+                    raise sc.error("head arguments must be variables", at=start)
                 head_vars.append(term.name)
-                if sc.try_token(","):
-                    continue
-                sc.expect(")")
-                break
+                if not sc.try_token(","):
+                    break
+            sc.expect(")")
             if len(set(head_vars)) != len(head_vars):
-                raise ParseError("repeated head variable", line=line, column=col)
+                raise sc.error("repeated head variable", at=start)
         sc.expect(":-")
-        atoms, ineqs = _read_body(sc)
-        if not atoms:
-            raise ParseError("rule body has no relational atom", line=line, column=col)
-        rules.append((head_name, tuple(head_vars), atoms, ineqs, line, col))
+        atoms, ineqs = _read_body(sc, start, "rule")
+        rules.append((head_name, tuple(head_vars), atoms, ineqs, start))
     if not rules:
-        raise ParseError("no rules found", line=sc.line, column=sc.col)
-    head = (rules[0][0], rules[0][1])
-    for name, hvars, _, _, line, col in rules[1:]:
-        if (name, hvars) != head:
-            raise ParseError(
-                "all rules of a query must share the same head", line=line, column=col
-            )
+        raise sc.error("no rules found")
+    for name, hvars, _, _, start in rules[1:]:
+        if (name, hvars) != rules[0][:2]:
+            raise sc.error("all rules of a query must share the same head", at=start)
     return UCQ(
-        tuple(CQ(atoms, ineqs, hvars) for _, hvars, atoms, ineqs, _, _ in rules)
+        tuple(
+            _cq(sc, start, atoms, ineqs, hvars)
+            for _, hvars, atoms, ineqs, start in rules
+        )
     )
 
 
@@ -343,15 +340,15 @@ def parse_constraints(
         sc.skip_layout()
         if sc.eof():
             break
-        line, col = sc.line, sc.col
+        start = sc.pos
         if sc.try_token(":-"):
-            dc = _read_dc(sc, line, col)
+            dc = _read_dc(sc, start)
             dcs.append(dc)
             labels.append(dc.render())
             continue
         keyword = sc.read_identifier("':-' or 'fd'")
         if keyword != "fd":
-            raise ParseError("expected ':-' or 'fd'", line=line, column=col)
+            raise sc.error("expected ':-' or 'fd'", at=start)
         predicate = sc.read_identifier("predicate name")
         sc.expect(":")
         determinants = _read_positions(sc)
@@ -360,18 +357,13 @@ def parse_constraints(
         sc.expect(".")
         try:
             fd = FD(predicate, frozenset(determinants), determined)
-        except ValueError as exc:
-            raise ParseError(str(exc), line=line, column=col) from None
-        if arities is None or predicate not in arities:
-            raise ParseError(
-                f"cannot normalize fd: unknown arity for predicate {predicate!r}",
-                line=line,
-                column=col,
-            )
-        try:
+            if arities is None or predicate not in arities:
+                raise ValueError(
+                    f"cannot normalize fd: unknown arity for predicate {predicate!r}"
+                )
             dcs.append(fd_to_dc(fd, arities[predicate]))
         except ValueError as exc:
-            raise ParseError(str(exc), line=line, column=col) from None
+            raise sc.error(str(exc), at=start) from None
         labels.append(fd.render())
     return ConstraintSet(tuple(dcs), tuple(labels))
 

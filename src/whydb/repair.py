@@ -18,7 +18,6 @@ from .errors import (
     ArityMismatchError,
     BudgetExceededError,
     IrreparableError,
-    ParseError,
     UnknownTidError,
 )
 from .query import DC, ConstraintSet, _read_dc, _read_positions, violations
@@ -94,9 +93,9 @@ def parse_hard_constraints(text: str) -> list[HardConstraint]:
         sc.skip_layout()
         if sc.eof():
             return out
-        line, col = sc.line, sc.col
+        start = sc.pos
         if sc.try_token(":-"):
-            out.append(_read_dc(sc, line, col))
+            out.append(_read_dc(sc, start))
             continue
         source = sc.read_identifier("predicate name or ':-'")
         sc.expect("[")
@@ -113,7 +112,7 @@ def parse_hard_constraints(text: str) -> list[HardConstraint]:
                 ReferentialConstraint(source, src_positions, target, tgt_positions)
             )
         except ValueError as exc:
-            raise ParseError(str(exc), line=line, column=col) from None
+            raise sc.error(str(exc), at=start) from None
 
 
 def _minimal_hitting_sets(edges: Sequence[frozenset[int]]) -> list[frozenset[int]]:

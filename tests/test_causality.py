@@ -224,3 +224,23 @@ def test_counterfactual_matches_oracle_on_corpus():
             exogenous_witness += 1
             assert want == []
     assert exogenous_witness > 0  # witnesses made of exogenous tuples only
+
+
+def test_per_tuple_views_match_the_reports_on_corpus():
+    # contingency_sets and responsibility read the S-repair differences in
+    # their sorted order; the reports' order is checked against the oracle
+    checked = 0
+    for inst, q in corpus(200):
+        try:
+            reports = {r.tid: r for r in actual_causes(inst, q)}
+        except IrreparableError:
+            continue
+        for t in sorted(inst.endogenous_tids):
+            report = reports.get(t)
+            sets = list(report.minimal_contingency_sets) if report else []
+            assert contingency_sets(inst, q, t) == sets
+            assert responsibility(inst, q, t) == (
+                report.responsibility if report else 0
+            )
+            checked += len(sets) > 1
+    assert checked > 0  # some tuple has several contingency sets to order

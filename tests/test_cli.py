@@ -234,6 +234,21 @@ def test_emit_asp_needs_exactly_one_source(files, capsys):
     assert code == 2
 
 
+def test_source_arguments_are_checked_before_the_db_is_read(tmp_path, capsys):
+    missing = str(tmp_path / "missing.facts")
+    for argv, message in [
+        (["emit-asp", "--db", missing], "emit-asp needs exactly one of"),
+        (["emit-asp", "--db", missing, "-q", QSTAR_TEXT, "--constraints", missing],
+         "emit-asp needs exactly one of"),
+        (["emit-asp", "--db", missing, "--constraints", missing, "--hard", missing],
+         "--hard applies to causality programs only"),
+        (["oracle-check", "--db", missing], "oracle-check needs a query"),
+    ]:
+        code, out, err = run(capsys, argv)
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error: {message}") and err.count("\n") == 1
+
+
 def test_oracle_check_agrees(files, capsys):
     code, out, _ = run(
         capsys,

@@ -12,6 +12,8 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from whydb import load_instance, parse_constraints, parse_hard_constraints, parse_query
 from whydb.errors import ParseError
@@ -160,10 +162,44 @@ def test_error_position_matches_golden(name, golden):
     assert {"text": CASES[name][1], **_outcome(*CASES[name])} == golden[name]
 
 
+TOKENS = (
+    "P", "S", "R", "Z", "q", "fd", "x", "y", "a", "A1", "@exo", '"', '"a"', "(", ")",
+    "[", "]", ",", ".", ":-", ":", "->", "!=", "<=", "=", "!", "%", "0", "1", "2",
+    " ", "\t", "\r", "\n", "\r\n", "\u00e9",
+)
+VALID = (
+    "P(a). @exo Q[2](b,c). % c\n",
+    'q(x) :- S(x), R(x, "y"), x != A1.\nq(y) :- S(y).',
+    ":- S(x), R(x,y), S(y).\r\nfd R: 1 -> 2.",
+    "R[1] <= S[1].\n:- R(x,y), x != y.",
+)
+TEXTS = st.one_of(
+    st.text(max_size=40),
+    st.lists(st.sampled_from(TOKENS), max_size=30).map("".join),
+    st.builds(
+        lambda text, cut, token: text[:cut] + token + text[cut:],
+        st.sampled_from(VALID), st.integers(0, 45), st.sampled_from(TOKENS + ("",)),
+    ),
+)
+
+
+@settings(deadline=None, max_examples=400)
+@given(text=TEXTS)
+def test_parsers_return_a_value_or_a_parse_error_inside_the_text(text):
+    lines = text.split("\n")
+    for parse in PARSERS.values():
+        try:
+            parse(text)
+        except ParseError as exc:
+            assert 1 <= exc.line <= len(lines)
+            assert 1 <= exc.column <= len(lines[exc.line - 1]) + 1
+
+
 if __name__ == "__main__":
     result = {
         name: {"text": text, **_outcome(parser, text)}
         for name, (parser, text) in CASES.items()
     }
-    GOLDEN.write_text(json.dumps(result, indent=1, sort_keys=True) + "\n", encoding="utf-8")
+    text = json.dumps(result, indent=1, sort_keys=True) + "\n"
+    GOLDEN.write_text(text, encoding="utf-8")
     print(f"wrote {len(result)} cases to {GOLDEN}", file=sys.stderr)
