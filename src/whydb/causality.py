@@ -6,6 +6,14 @@ query; each such difference minus the tuple itself is a subset-minimal
 contingency set, and the responsibility is one over the size of a smallest
 difference. Most responsible causes are those appearing in C-repair
 differences. Responsibilities are exact rationals, never floats.
+
+The per-tuple answers read the negated query's `Hypergraph`: `dif_s` and
+`contingency_sets` take only the S-repair differences holding the tuple,
+and `responsibility` only the size of a smallest one. `dif_c` and
+`most_responsible_causes` read `c_repairs`, which finds the minimum
+hitting sets directly. Only `actual_causes` and `causes_under_ics` list
+every S-repair: they report every cause, and hard constraints judge whole
+repairs.
 """
 
 from __future__ import annotations
@@ -17,7 +25,13 @@ from typing import Sequence
 from .core import Instance
 from .errors import PreconditionError
 from .query import UCQ, eval_bcq, negate_query, violations
-from .repair import HardConstraint, c_repairs, s_repairs, satisfies_hard
+from .repair import (
+    HardConstraint,
+    Hypergraph,
+    c_repairs,
+    s_repairs,
+    satisfies_hard,
+)
 
 
 @dataclass(frozen=True)
@@ -46,10 +60,11 @@ class CauseReport:
 
 
 def dif_s(inst: Instance, q: UCQ, t: int) -> list[DiffSet]:
-    """Deletion differences of S-repairs (wrt the negated query) containing t."""
+    """Deletion differences of S-repairs (wrt the negated query) containing
+    t, sorted by (size, tids)."""
     inst.fact(t)
-    reps = s_repairs(inst, negate_query(q))
-    return [DiffSet(r.deleted, "s_repair") for r in reps if t in r.deleted]
+    graph = Hypergraph.of(inst, negate_query(q))
+    return [DiffSet(d, "s_repair") for d in graph.transversals_with(t)]
 
 
 def dif_c(inst: Instance, q: UCQ, t: int) -> list[DiffSet]:
@@ -118,8 +133,9 @@ def contingency_sets(inst: Instance, q: UCQ, t: int) -> list[frozenset[int]]:
 
 def responsibility(inst: Instance, q: UCQ, t: int) -> Fraction:
     """1/|s| for a smallest S-repair difference containing t; 0 for non-causes."""
-    diffs = dif_s(inst, q, t)
-    return Fraction(1, len(diffs[0].deleted)) if diffs else Fraction(0)
+    inst.fact(t)
+    size = Hypergraph.of(inst, negate_query(q)).fewest_with(t)
+    return Fraction(1, size) if size else Fraction(0)
 
 
 def counterfactual_causes(inst: Instance, q: UCQ) -> list[int]:

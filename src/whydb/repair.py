@@ -4,6 +4,15 @@ A retained subset is consistent exactly when its deleted complement hits
 every violation edge, and it is subset-maximal exactly when that hitting set
 is minimal. Only endogenous tuples may be deleted; a violation consisting of
 exogenous tuples alone is irreparable.
+
+`Hypergraph` is built once per (instance, constraint set). It keeps the
+inclusion-minimal edges, which have the same minimal hitting sets as all
+edges, and splits them into connected components, whose hitting sets
+combine freely. From it come the C-repairs (a search cut at the minimum
+size, a sum over components), the S-repairs holding one tuple, and the
+smallest of those, without listing every S-repair. `s_repairs` lists them
+all, and `c_repairs` under hard constraints filters that list, since a hard
+constraint judges a whole repair.
 """
 
 from __future__ import annotations
@@ -20,7 +29,14 @@ from .errors import (
     IrreparableError,
     UnknownTidError,
 )
-from .query import DC, ConstraintSet, _read_dc, _read_positions, violations
+from .query import (
+    DC,
+    ConstraintSet,
+    ViolationEdge,
+    _read_dc,
+    _read_positions,
+    violations,
+)
 
 INCONSISTENT = "inconsistent"
 CONSISTENT_NOT_MAXIMAL = "consistent_not_maximal"
@@ -115,36 +131,66 @@ def parse_hard_constraints(text: str) -> list[HardConstraint]:
             raise sc.error(str(exc), at=start) from None
 
 
-def _minimal_hitting_sets(edges: Sequence[frozenset[int]]) -> list[frozenset[int]]:
-    """All minimal hitting sets of the edge family, each produced once.
+def _canonical(edge: frozenset[int]) -> tuple[int, ...]:
+    return tuple(sorted(edge))
 
-    Branches over the elements of the first uncovered edge in canonical
-    order; elements already tried at a node are banned in later branches, so
-    no selection is generated twice. A completed selection is kept only if
-    every chosen element is the sole cover of some edge, which is exactly
-    minimality. The search recurses once per chosen element; a search
-    nested deeper than the recursion limit raises BudgetExceededError.
+
+def _disjoint_count(sets: Sequence[frozenset[int]]) -> int:
+    """How many of the sets a greedy pass, smallest first, keeps pairwise
+    disjoint: a lower bound on the size of any set that meets them all."""
+    used: set[int] = set()
+    count = 0
+    for s in sorted(sets, key=len):
+        if used.isdisjoint(s):
+            used |= s
+            count += 1
+    return count
+
+
+def _minimal_hitting_sets(
+    edges: Sequence[frozenset[int]],
+    start: frozenset[int] = frozenset(),
+    most: int | None = None,
+    shrink: bool = False,
+) -> list[frozenset[int]]:
+    """The minimal hitting sets of the edge family that contain `start`,
+    each produced once.
+
+    Branches over the free elements of the open edge with the fewest of
+    them, in tid order; elements already tried at a node are banned, that
+    is no longer free, in later branches, so no selection is generated
+    twice. A completed selection is kept only if every chosen element is
+    the sole cover of some edge, which is exactly minimality.
+
+    With `most`, a branch is cut as soon as its chosen elements plus the
+    number of pairwise disjoint free parts of its open edges exceed `most`.
+    With `shrink`, every set kept lowers `most` to one below its size, so
+    the last set returned is a smallest one. The search recurses once per
+    chosen element; a search nested deeper than the recursion limit raises
+    BudgetExceededError.
     """
-    order = sorted(set(edges), key=lambda e: tuple(sorted(e)))
+    order = sorted(set(edges), key=_canonical)
     found: list[frozenset[int]] = []
 
-    def search(chosen: frozenset[int], banned: frozenset[int]) -> None:
-        open_edge = None
-        for edge in order:
-            if not (edge & chosen):
-                open_edge = edge
-                break
-        if open_edge is None:
-            if all(any(edge & chosen == {t} for edge in order) for t in chosen):
+    def search(chosen: frozenset[int], banned: frozenset[int], open_edges) -> None:
+        nonlocal most
+        if not open_edges:
+            if shrink:
+                found.append(chosen)
+                most = len(chosen) - 1
+            elif all(any(edge & chosen == {t} for edge in order) for t in chosen):
                 found.append(chosen)
             return
+        free = [edge - banned for edge in open_edges] if banned else open_edges
+        if most is not None and len(chosen) + _disjoint_count(free) > most:
+            return
         blocked = banned
-        for t in sorted(open_edge - banned):
-            search(chosen | {t}, blocked)
+        for t in sorted(min(free, key=len)):
+            search(chosen | {t}, blocked, [e for e in open_edges if t not in e])
             blocked = blocked | {t}
 
     try:
-        search(frozenset(), frozenset())
+        search(start, frozenset(), [e for e in order if not e & start])
     except RecursionError:
         limit = sys.getrecursionlimit()
         raise BudgetExceededError(
@@ -154,8 +200,127 @@ def _minimal_hitting_sets(edges: Sequence[frozenset[int]]) -> list[frozenset[int
     return found
 
 
+def _minimal_edges(edges: Iterable[frozenset[int]]) -> list[frozenset[int]]:
+    """The inclusion-minimal members of a family, once each, in canonical
+    order. An edge is checked against the kept edges, no larger, that share
+    a tuple with it."""
+    kept: list[frozenset[int]] = []
+    holding: dict[int, list[frozenset[int]]] = {}
+    for edge in sorted(edges, key=len):
+        if any(f <= edge for t in edge for f in holding.get(t, ())):
+            continue
+        kept.append(edge)
+        for t in edge:
+            holding.setdefault(t, []).append(edge)
+    return sorted(kept, key=_canonical)
+
+
+def _components(edges: Sequence[frozenset[int]]) -> list[list[frozenset[int]]]:
+    """The edges grouped into connected components, linked by shared
+    tuples. Components come in order of their first edge, and keep the
+    edges' order."""
+    holding: dict[int, list[int]] = {}
+    for i, edge in enumerate(edges):
+        for t in edge:
+            holding.setdefault(t, []).append(i)
+    seen: set[int] = set()
+    out = []
+    for first in range(len(edges)):
+        if first in seen:
+            continue
+        seen.add(first)
+        stack, members = [first], []
+        while stack:
+            i = stack.pop()
+            members.append(i)
+            for t in edges[i]:
+                for j in holding[t]:
+                    if j not in seen:
+                        seen.add(j)
+                        stack.append(j)
+        out.append([edges[i] for i in sorted(members)])
+    return out
+
+
+def _fewest(edges: Iterable[frozenset[int]]) -> int:
+    """The size of a smallest hitting set of the edges: over the components
+    of their minimal members, the sum of the sizes that a branch-and-bound
+    search finds."""
+    return sum(
+        len(_minimal_hitting_sets(component, shrink=True)[-1])
+        for component in _components(_minimal_edges(edges))
+    )
+
+
+class Hypergraph:
+    """The violation hypergraph of one instance under one constraint set.
+
+    `edges` are the endogenous parts of the violation edges, `minimal` the
+    inclusion-minimal ones, and `components` the minimal edges grouped by
+    shared tuples; all in canonical order, by sorted tids. The S-repairs
+    delete exactly the minimal hitting sets of `edges`, which are those of
+    `minimal`, and such a set is a choice of one minimal hitting set per
+    component. So a C-repair deletes a smallest set per component.
+    """
+
+    def __init__(self, inst: Instance, ground: Iterable[ViolationEdge]):
+        endo = inst.endogenous_tids
+        edges: set[frozenset[int]] = set()
+        for edge in ground:
+            candidates = edge.tids & endo
+            if not candidates:
+                facts = ", ".join(inst.fact(t).render() for t in sorted(edge.tids))
+                raise IrreparableError(
+                    f"violation {{{facts}}} involves only exogenous tuples"
+                )
+            edges.add(candidates)
+        self.edges = sorted(edges, key=_canonical)
+        self.minimal = _minimal_edges(self.edges)
+        self.components = _components(self.minimal)
+
+    @classmethod
+    def of(cls, inst: Instance, cs: ConstraintSet) -> "Hypergraph":
+        return cls(inst, violations(inst, cs))
+
+    def minimum_size(self) -> int:
+        """The deletion count of every C-repair."""
+        return _fewest(self.minimal)
+
+    def minimum_hitting_sets(self) -> list[frozenset[int]]:
+        """The deletion sets of the C-repairs, by a search over the whole
+        hypergraph cut at the minimum size."""
+        return _minimal_hitting_sets(self.minimal, most=self.minimum_size())
+
+    def transversals_with(self, t: int) -> list[frozenset[int]]:
+        """The S-repair deletion sets that hold t, sorted by (size, tids).
+        t is in one only if it is in some minimal edge."""
+        if not any(t in edge for edge in self.minimal):
+            return []
+        found = _minimal_hitting_sets(self.minimal, start=frozenset({t}))
+        return sorted(found, key=lambda d: (len(d), _canonical(d)))
+
+    def fewest_with(self, t: int) -> int:
+        """The size of a smallest S-repair deletion set holding t; 0 if none
+        does.
+
+        Such a set is t, a minimal edge e that it meets in t alone, and a
+        smallest hitting set of the other edges that avoids e: of the parts
+        f - e of the edges f of t's component without t, and of every other
+        component whole.
+        """
+        for index, component in enumerate(self.components):
+            holding = [e for e in component if t in e]
+            if holding:
+                break
+        else:
+            return 0
+        own = min(_fewest([f - e for f in component if t not in f]) for e in holding)
+        others = [f for i, c in enumerate(self.components) if i != index for f in c]
+        return 1 + own + _fewest(others)
+
+
 def _repair_sort_key(repair: Repair):
-    return (len(repair.deleted), tuple(sorted(repair.deleted)))
+    return (len(repair.deleted), _canonical(repair.deleted))
 
 
 def s_repairs(
@@ -170,20 +335,10 @@ def s_repairs(
     repairs whose retained set violates them, they never trigger further
     deletions. Output is sorted by (deletion count, deleted tids).
     """
-    edges = violations(inst, cs)
-    endo = inst.endogenous_tids
-    hitting_edges = []
-    for edge in edges:
-        candidates = edge.tids & endo
-        if not candidates:
-            facts = ", ".join(inst.fact(t).render() for t in sorted(edge.tids))
-            raise IrreparableError(
-                f"violation {{{facts}}} involves only exogenous tuples"
-            )
-        hitting_edges.append(candidates)
+    graph = Hypergraph.of(inst, cs)
     repairs = [
         Repair(inst.tids - deleted, deleted)
-        for deleted in _minimal_hitting_sets(hitting_edges)
+        for deleted in _minimal_hitting_sets(graph.edges)
     ]
     if hard:
         repairs = [
@@ -200,8 +355,15 @@ def c_repairs(
     cs: ConstraintSet,
     hard: Sequence[HardConstraint] = (),
 ) -> list[Repair]:
-    """The maximum-cardinality repairs: s_repairs with fewest deletions,
-    computed after hard-constraint filtering."""
+    """The maximum-cardinality repairs. Without hard constraints they are
+    the minimum hitting sets of the hypergraph; with them, the s_repairs
+    with fewest deletions after filtering, since a filter may discard every
+    globally smallest repair."""
+    if not hard:
+        deleted = Hypergraph.of(inst, cs).minimum_hitting_sets()
+        repairs = [Repair(inst.tids - d, d) for d in deleted]
+        repairs.sort(key=_repair_sort_key)
+        return repairs
     candidates = s_repairs(inst, cs, hard)
     if not candidates:
         return []
@@ -223,12 +385,13 @@ def classify_subset(
     unknown = keep - inst.tids
     if unknown:
         raise UnknownTidError(f"no tuple with tid {min(unknown)}")
-    edges = [e.tids for e in violations(inst, cs)]
+    found = violations(inst, cs)
+    edges = [e.tids for e in found]
     if any(e <= keep for e in edges):
         return INCONSISTENT
     deleted = inst.tids - keep
     endo = inst.endogenous_tids
     if deleted - endo or not all(any(e <= keep | {t} for e in edges) for t in deleted):
         return CONSISTENT_NOT_MAXIMAL
-    fewest = min(map(len, _minimal_hitting_sets([e & endo for e in edges])))
+    fewest = Hypergraph(inst, found).minimum_size()
     return C_REPAIR if len(deleted) == fewest else S_REPAIR

@@ -341,19 +341,43 @@ def test_exit_code_irreparable(files, capsys):
     assert "exogenous" in err
 
 
-def test_deep_repair_search_is_a_budget_error(tmp_path, capsys):
-    # 1100 disjoint FD conflicts: each C-repair deletes 1100 tuples, one
-    # nested search step each, past the recursion limit
+FD_1100_QUERY = "q :- T(x,y), T(x,z), y != z."
+
+
+@pytest.fixture
+def fd_1100(tmp_path):
+    """1100 disjoint FD conflicts, T(k_i,a) and T(k_i,b), as facts, FD and
+    query files."""
     db = tmp_path / "conflicts.facts"
     db.write_text("".join(f"T(k{i},a). T(k{i},b).\n" for i in range(1100)))
     fds = tmp_path / "fd.dc"
     fds.write_text("fd T: 1 -> 2.")
+    return str(db), str(fds)
+
+
+def test_deep_repair_search_is_a_budget_error(fd_1100, capsys):
+    # each C-repair, and each S-repair holding tuple 7, deletes 1100
+    # tuples, one nested search step each, past the recursion limit
+    db, fds = fd_1100
+    for argv in (
+        ["repairs", "--kind", "c", "--db", db, "--constraints", fds],
+        ["most-responsible", "--db", db, "-q", FD_1100_QUERY],
+        ["contingency", "--db", db, "-q", FD_1100_QUERY, "--tid", "7"],
+    ):
+        code, out, err = run(capsys, argv)
+        assert code == 1 and out == "", argv
+        assert len(err.splitlines()) == 1 and err.startswith("error: "), argv
+        assert "1100 violation edges" in err and "Traceback" not in err, argv
+
+
+def test_responsibility_needs_no_repair_listing(fd_1100, capsys):
+    # the smallest S-repair holding tuple 7 deletes one tuple per conflict
+    db, _ = fd_1100
     code, out, err = run(
-        capsys, ["repairs", "--kind", "c", "--db", str(db), "--constraints", str(fds)]
+        capsys, ["responsibility", "--db", db, "-q", FD_1100_QUERY, "--tid", "7"]
     )
-    assert code == 1 and out == ""
-    assert len(err.splitlines()) == 1 and err.startswith("error: ")
-    assert "1100 violation edges" in err and "Traceback" not in err
+    assert code == 0 and err == ""
+    assert out == "responsibility(T(k3,a)#7) = 1/1100\n"
 
 
 def test_exit_code_open_query_precondition(files, capsys):

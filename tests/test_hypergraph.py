@@ -1,0 +1,156 @@
+"""The answers read from the violation hypergraph, checked against the
+enumeration route: every answer is also written here as a filter over the
+full list of S-repairs, and both must agree on random hypergraphs. Then the
+sizes the enumeration route cannot reach, checked against the benchmark's
+own hitting-set arithmetic."""
+
+import importlib.util
+import random
+import sys
+from fractions import Fraction
+from math import prod
+from pathlib import Path
+
+import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+
+from whydb import (
+    CQ,
+    UCQ,
+    Atom,
+    IrreparableError,
+    PreconditionError,
+    c_repairs,
+    classify_subset,
+    contingency_sets,
+    dif_c,
+    dif_s,
+    load_instance,
+    most_responsible_causes,
+    negate_query,
+    parse_query,
+    responsibility,
+    s_repairs,
+)
+from whydb.repair import C_REPAIR, S_REPAIR
+
+BENCH = Path(__file__).resolve().parent.parent / "bench"
+
+
+def _load_bench(name):
+    """Load a benchmark module by file, with the benchmark directory on the
+    path only while its own imports run."""
+    spec = importlib.util.spec_from_file_location(f"bench_{name}", BENCH / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module
+    sys.path.insert(0, str(BENCH))
+    try:
+        spec.loader.exec_module(module)
+    finally:
+        sys.path.remove(str(BENCH))
+    return module
+
+
+hypergraph = _load_bench("hypergraph")
+chain_causes = _load_bench("chain_causes")
+
+
+@st.composite
+def hypergraphs(draw):
+    """Unary facts P(1)..P(n) and one query disjunct per edge. Base edges
+    lie in disjoint blocks of tids, so some components are apart; a few
+    extra edges are base edges plus other tids, so some are not minimal."""
+    n = draw(st.integers(1, 40))
+    cuts = sorted(draw(st.sets(st.integers(1, n - 1), max_size=3))) if n > 1 else []
+    bounds = [0, *cuts, n]
+    base = []
+    for low, high in zip(bounds, bounds[1:]):
+        block = st.sampled_from(range(low + 1, high + 1))
+        for _ in range(draw(st.integers(0, 3))):
+            base.append(frozenset(draw(st.lists(block, min_size=1, max_size=3))))
+    assume(base)
+    # the product of the base edges' sizes bounds the number of S-repairs
+    assume(prod(map(len, base)) <= 3000)
+    wider = [
+        draw(st.sampled_from(base))
+        | frozenset(draw(st.lists(st.integers(1, n), min_size=1, max_size=2)))
+        for _ in range(draw(st.integers(0, 2)))
+    ]
+    exogenous = draw(st.sets(st.integers(1, n), max_size=n // 4))
+    inst = load_instance(
+        "".join(f"{'@exo ' if t in exogenous else ''}P({t}).\n" for t in range(1, n + 1))
+    )
+    q = UCQ(
+        tuple(
+            CQ(tuple(Atom("P", (str(t),)) for t in sorted(edge)))
+            for edge in base + wider
+        )
+    )
+    return inst, q
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except IrreparableError as exc:
+        return ("IrreparableError", str(exc))
+
+
+@settings(deadline=None, max_examples=150)
+@given(hypergraphs())
+def test_hypergraph_answers_match_enumeration(case):
+    inst, q = case
+    kq = negate_query(q)
+    try:
+        reps = s_repairs(inst, kq)
+    except IrreparableError as exc:
+        error = ("IrreparableError", str(exc))
+        assert _outcome(c_repairs, inst, kq) == error
+        assert _outcome(most_responsible_causes, inst, q) == error
+        for t in sorted(inst.tids):
+            assert _outcome(responsibility, inst, q, t) == error
+            assert _outcome(dif_s, inst, q, t) == error
+        return
+    fewest = min(len(r.deleted) for r in reps)
+    creps = [r for r in reps if len(r.deleted) == fewest]
+    assert c_repairs(inst, kq) == creps
+    assert most_responsible_causes(inst, q) == sorted({t for r in creps for t in r.deleted})
+    for r in reps:
+        want = C_REPAIR if len(r.deleted) == fewest else S_REPAIR
+        assert classify_subset(inst, kq, r.retained) == want
+    for t in sorted(inst.tids):
+        holding = [r.deleted for r in reps if t in r.deleted]
+        assert [d.deleted for d in dif_s(inst, q, t)] == holding
+        assert [d.deleted for d in dif_c(inst, q, t)] == [
+            r.deleted for r in creps if t in r.deleted
+        ]
+        assert responsibility(inst, q, t) == (
+            Fraction(1, len(holding[0])) if holding else Fraction(0)
+        )
+        if inst.fact(t).exogenous:
+            with pytest.raises(PreconditionError):
+                contingency_sets(inst, q, t)
+        else:
+            assert contingency_sets(inst, q, t) == [d - {t} for d in holding]
+
+
+CHAIN_QUERY = parse_query("q :- S(x), R(x,y), S(y).")
+
+
+@pytest.mark.parametrize("order", ["drawn", "sorted"])
+def test_chain_60_responsibility_matches_exhaustive_search(order):
+    facts = chain_causes.chain_facts(60, random.Random(1))
+    if order == "sorted":
+        facts.sort(key=lambda fact: f"{fact[0]}({','.join(fact[1])})")
+    inst = load_instance("".join(f"{p}({','.join(args)}).\n" for p, args in facts))
+    witnesses = hypergraph.minimal_sets(chain_causes.chain_witnesses(facts))
+    expected = {}
+    for t in sorted(inst.tids):
+        denominator = hypergraph.responsibility_denominator(witnesses, t)
+        expected[t] = Fraction(1, denominator) if denominator else Fraction(0)
+        assert responsibility(inst, CHAIN_QUERY, t) == expected[t], t
+    top = max(expected.values())
+    assert most_responsible_causes(inst, CHAIN_QUERY) == sorted(
+        t for t, rho in expected.items() if rho == top
+    )

@@ -144,6 +144,22 @@ def test_referential_hard_filter(dstar, kq):
     assert c_repairs(dstar, kq, hard) == reps
 
 
+def test_c_repairs_under_hard_constraints_are_the_smallest_survivors():
+    # S-repairs delete {1,5}, {1,6,7}, {2,3,4,5} and {2,3,4,6,7}; the hard
+    # constraint keeps P(a), #1, so it discards both global minima
+    inst = load_instance(
+        "P(a). Q(a,b). Q(a,c). Q(a,d). P(g). Q(g,h). Q(g,i). @exo A(a)."
+    )
+    cs = parse_constraints(":- P(x), Q(x,y).")
+    hard = parse_hard_constraints("A[1] <= P[1].")
+    assert [sorted(r.deleted) for r in c_repairs(inst, cs)] == [[1, 5]]
+    assert [sorted(r.deleted) for r in s_repairs(inst, cs, hard)] == [
+        [2, 3, 4, 5],
+        [2, 3, 4, 6, 7],
+    ]
+    assert [sorted(r.deleted) for r in c_repairs(inst, cs, hard)] == [[2, 3, 4, 5]]
+
+
 def test_dc_hard_filter_can_empty_the_repair_set(dstar, kq):
     hard = parse_hard_constraints(":- S(x), S(y), x != y.")
     assert s_repairs(dstar, kq, hard) == []
