@@ -8,7 +8,8 @@ the row's handler, which returns its output in the format asked for: the
 fields of the `{"schema": 1, ...}` JSON document, or the lines of text.
 `main` prints it and maps errors to exit codes. Handlers reach the library
 through this module's global names at call time, so a caller may rebind
-them (the benchmark's tracer does).
+them (the benchmark's tracer does). Handlers render facts through a memo
+of their own (`_texts`), once each and only if printed.
 """
 
 from __future__ import annotations
@@ -17,8 +18,9 @@ import argparse
 import json
 import os
 import sys
+from functools import cache
 from pathlib import Path
-from typing import Sequence
+from typing import Callable, Sequence
 
 from ._version import __version__
 from .asp import AspDialect, CausalityOptions, emit_causality_program, emit_repair_program
@@ -69,12 +71,18 @@ def _hard(args):
     return parse_hard_constraints(_read_file(args.hard)) if args.hard else []
 
 
-def _facts(inst, tids) -> list[str]:
-    return [inst.fact(t).render() for t in sorted(tids)]
+def _texts(inst) -> Callable[[int], str]:
+    """A memo of rendered facts by tid, one per command: each fact is
+    rendered at most once, and only when it is printed."""
+    return cache(lambda tid: inst.fact(tid).render())
 
 
-def _fact_set(inst, tids) -> str:
-    return "{" + ", ".join(_facts(inst, tids)) + "}"
+def _facts(text, tids) -> list[str]:
+    return [text(t) for t in sorted(tids)]
+
+
+def _fact_set(text, tids) -> str:
+    return "{" + ", ".join(_facts(text, tids)) + "}"
 
 
 def _rho_json(value):
@@ -86,20 +94,21 @@ def _rho_json(value):
 def _cmd_repairs(args, inst):
     cs = _constraints(args, inst)
     reps = (c_repairs if args.kind == "c" else s_repairs)(inst, cs, _hard(args))
+    text = _texts(inst)
     if args.format == "json":
         return {
             "kind": args.kind,
             "repairs": [
                 {
-                    "deleted": _facts(inst, r.deleted),
-                    "retained": _facts(inst, r.retained),
+                    "deleted": _facts(text, r.deleted),
+                    "retained": _facts(text, r.retained),
                 }
                 for r in reps
             ],
         }
     return (
-        f"{args.kind}-repair {i}: deleted {_fact_set(inst, r.deleted)} "
-        f"retained {_fact_set(inst, r.retained)}"
+        f"{args.kind}-repair {i}: deleted {_fact_set(text, r.deleted)} "
+        f"retained {_fact_set(text, r.retained)}"
         for i, r in enumerate(reps, start=1)
     )
 
@@ -108,6 +117,7 @@ def _cmd_causes(args, inst):
     q = _query(args)
     hard = _hard(args)
     reports = causes_under_ics(inst, q, hard) if hard else actual_causes(inst, q)
+    text = _texts(inst)
     if args.format == "json":
         return {
             "causes": [
@@ -118,18 +128,18 @@ def _cmd_causes(args, inst):
                     "counterfactual": r.is_counterfactual,
                     "most_responsible": r.is_most_responsible,
                     "contingency_sets": [
-                        _facts(inst, g) for g in r.minimal_contingency_sets
+                        _facts(text, g) for g in r.minimal_contingency_sets
                     ],
                 }
                 for r in reports
             ]
         }
     return (
-        f"{inst.fact(r.tid).render()}: responsibility={r.responsibility} "
+        f"{text(r.tid)}: responsibility={r.responsibility} "
         f"counterfactual={'yes' if r.is_counterfactual else 'no'} "
         f"most-responsible={'yes' if r.is_most_responsible else 'no'} "
         "contingency-sets=["
-        + ", ".join(_fact_set(inst, g) for g in r.minimal_contingency_sets)
+        + ", ".join(_fact_set(text, g) for g in r.minimal_contingency_sets)
         + "]"
         for r in reports
     )
@@ -137,13 +147,14 @@ def _cmd_causes(args, inst):
 
 def _cmd_contingency(args, inst):
     sets = contingency_sets(inst, _query(args), args.tid)
+    text = _texts(inst)
     if args.format == "json":
         return {
             "tid": args.tid,
             "atom": inst.fact(args.tid).atom_text(),
-            "contingency_sets": [_facts(inst, g) for g in sets],
+            "contingency_sets": [_facts(text, g) for g in sets],
         }
-    return [_fact_set(inst, g) for g in sets]
+    return [_fact_set(text, g) for g in sets]
 
 
 def _cmd_responsibility(args, inst):
@@ -158,9 +169,8 @@ def _cmd_responsibility(args, inst):
 
 
 def _tid_list(args, inst, key: str, tids):
-    if args.format == "json":
-        return {key: _facts(inst, tids)}
-    return [inst.fact(t).render() for t in tids]
+    facts = _facts(_texts(inst), tids)
+    return {key: facts} if args.format == "json" else facts
 
 
 def _cmd_counterfactual(args, inst):

@@ -12,7 +12,8 @@ combine freely. From it come the C-repairs (a search cut at the minimum
 size, a sum over components), the S-repairs holding one tuple, and the
 smallest of those, without listing every S-repair. `s_repairs` lists them
 all, and `c_repairs` under hard constraints filters that list, since a hard
-constraint judges a whole repair.
+constraint judges a whole repair. Every search cuts a branch once a chosen
+tuple meets no edge alone, so it reaches only minimal hitting sets.
 """
 
 from __future__ import annotations
@@ -157,40 +158,47 @@ def _minimal_hitting_sets(
     each produced once.
 
     Branches over the free elements of the open edge with the fewest of
-    them, in tid order; elements already tried at a node are banned, that
-    is no longer free, in later branches, so no selection is generated
-    twice. A completed selection is kept only if every chosen element is
-    the sole cover of some edge, which is exactly minimality.
+    them, in tid order; elements tried at a node are banned in later
+    branches, so no selection comes twice. Each chosen element keeps its
+    critical edges, those meeting the chosen set in it alone (MMCS,
+    Murakami and Uno 2014). Choosing t drops the edges holding t from the
+    other lists and gives t the open edges holding t. Lists only shrink,
+    and a set is minimal iff none is empty, so a branch is cut once one
+    is: every completed selection is minimal, and a start element in no
+    edge yields nothing.
 
-    With `most`, a branch is cut as soon as its chosen elements plus the
-    number of pairwise disjoint free parts of its open edges exceed `most`.
-    With `shrink`, every set kept lowers `most` to one below its size, so
-    the last set returned is a smallest one. The search recurses once per
-    chosen element; a search nested deeper than the recursion limit raises
-    BudgetExceededError.
+    With `most`, a branch is cut once its chosen elements plus the number
+    of pairwise disjoint free parts of its open edges exceed `most`; with
+    `shrink`, each set found lowers `most` below its size, so the last is
+    a smallest one. The search recurses once per chosen element; nesting
+    deeper than the recursion limit raises BudgetExceededError.
     """
     order = sorted(set(edges), key=_canonical)
     found: list[frozenset[int]] = []
 
-    def search(chosen: frozenset[int], banned: frozenset[int], open_edges) -> None:
+    def search(chosen: frozenset[int], critical, banned, open_edges) -> None:
         nonlocal most
         if not open_edges:
+            found.append(chosen)
             if shrink:
-                found.append(chosen)
                 most = len(chosen) - 1
-            elif all(any(edge & chosen == {t} for edge in order) for t in chosen):
-                found.append(chosen)
             return
         free = [edge - banned for edge in open_edges] if banned else open_edges
         if most is not None and len(chosen) + _disjoint_count(free) > most:
             return
         blocked = banned
         for t in sorted(min(free, key=len)):
-            search(chosen | {t}, blocked, [e for e in open_edges if t not in e])
+            kept = [[e for e in own if t not in e] for own in critical]
+            if all(kept):
+                kept.append([e for e in open_edges if t in e])
+                search(chosen | {t}, kept, blocked, [e for e in open_edges if t not in e])
             blocked = blocked | {t}
 
+    critical = [[e for e in order if e & start == {u}] for u in start]
+    if not all(critical):
+        return found
     try:
-        search(start, frozenset(), [e for e in order if not e & start])
+        search(start, critical, frozenset(), [e for e in order if not e & start])
     except RecursionError:
         limit = sys.getrecursionlimit()
         raise BudgetExceededError(
@@ -294,8 +302,6 @@ class Hypergraph:
     def transversals_with(self, t: int) -> list[frozenset[int]]:
         """The S-repair deletion sets that hold t, sorted by (size, tids).
         t is in one only if it is in some minimal edge."""
-        if not any(t in edge for edge in self.minimal):
-            return []
         found = _minimal_hitting_sets(self.minimal, start=frozenset({t}))
         return sorted(found, key=lambda d: (len(d), _canonical(d)))
 

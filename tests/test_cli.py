@@ -1,7 +1,18 @@
 import json
+import re
+from collections import Counter
 
 import pytest
 
+from whydb import (
+    Fact,
+    actual_causes,
+    contingency_sets,
+    load_instance,
+    parse_constraints,
+    parse_query,
+    s_repairs,
+)
 from whydb.cli import main
 
 from conftest import D2STAR_TEXT, DSTAR_TEXT, K12_TEXT, QSTAR_TEXT
@@ -176,6 +187,106 @@ def test_counterfactual_and_most_responsible(files, capsys):
         )
         assert code == 0
         assert out == "S(a3)#6\n"
+
+
+# Explicit tids with gaps, out of order, and exogenous facts.
+GAPPY_TEXT = """S[12](a3).
+R[3](a4,a3).
+@exo R[40](a3,a3).
+S[7](a4).
+R[25](a2,a1).
+S[9](a2).
+@exo S[31](a1).
+R[18](a3,a2).
+"""
+KQ_TEXT = ":- S(x), R(x,y), S(y)."
+
+
+@pytest.fixture
+def gappy(tmp_path):
+    db, dc = tmp_path / "gappy.facts", tmp_path / "kq.dc"
+    db.write_text(GAPPY_TEXT)
+    dc.write_text(KQ_TEXT)
+    return str(db), str(dc), load_instance(GAPPY_TEXT)
+
+
+def _rendered(inst, tids):
+    return [inst.fact(t).render() for t in sorted(tids)]
+
+
+def _rendered_set(inst, tids):
+    return "{" + ", ".join(_rendered(inst, tids)) + "}"
+
+
+def test_printed_facts_are_the_instance_facts_in_tid_order(gappy, capsys):
+    db, dc, inst = gappy
+    q = parse_query(QSTAR_TEXT)
+    reps = s_repairs(inst, parse_constraints(KQ_TEXT, inst))
+    _, out, _ = run(capsys, ["repairs", "--db", db, "--constraints", dc])
+    assert out.splitlines() == [
+        f"s-repair {i}: deleted {_rendered_set(inst, r.deleted)} "
+        f"retained {_rendered_set(inst, r.retained)}"
+        for i, r in enumerate(reps, start=1)
+    ]
+    _, out, _ = run(
+        capsys, ["repairs", "--db", db, "--constraints", dc, "--format", "json"]
+    )
+    assert json.loads(out)["repairs"] == [
+        {"deleted": _rendered(inst, r.deleted), "retained": _rendered(inst, r.retained)}
+        for r in reps
+    ]
+
+    reports = actual_causes(inst, q)
+    assert len(reports) > 1
+    _, out, _ = run(capsys, ["causes", "--db", db, "-q", QSTAR_TEXT])
+    for line, r in zip(out.splitlines(), reports, strict=True):
+        assert line.startswith(inst.fact(r.tid).render() + ": ")
+        sets = ", ".join(_rendered_set(inst, g) for g in r.minimal_contingency_sets)
+        assert line.endswith(f"contingency-sets=[{sets}]")
+    _, out, _ = run(capsys, ["causes", "--db", db, "-q", QSTAR_TEXT, "--format", "json"])
+    assert [c["contingency_sets"] for c in json.loads(out)["causes"]] == [
+        [_rendered(inst, g) for g in r.minimal_contingency_sets] for r in reports
+    ]
+
+    for r in reports:
+        sets = contingency_sets(inst, q, r.tid)
+        argv = ["contingency", "--db", db, "-q", QSTAR_TEXT, "--tid", str(r.tid)]
+        _, out, _ = run(capsys, argv)
+        assert out.splitlines() == [_rendered_set(inst, g) for g in sets]
+        _, out, _ = run(capsys, argv + ["--format", "json"])
+        assert json.loads(out)["contingency_sets"] == [_rendered(inst, g) for g in sets]
+
+
+def test_each_printed_fact_is_rendered_once(gappy, capsys, monkeypatch):
+    db, dc, inst = gappy
+    renders = Counter()
+    render = Fact.render
+
+    def counted(fact):
+        renders[fact.tid] += 1
+        return render(fact)
+
+    monkeypatch.setattr(Fact, "render", counted)
+    causes = [r.tid for r in actual_causes(inst, parse_query(QSTAR_TEXT))]
+    commands = [
+        ["repairs", "--constraints", dc],
+        ["repairs", "--constraints", dc, "--kind", "c"],
+        ["causes", "-q", QSTAR_TEXT],
+        ["counterfactual", "-q", QSTAR_TEXT],
+        ["most-responsible", "-q", QSTAR_TEXT],
+    ] + [
+        [command, "-q", QSTAR_TEXT, "--tid", str(t)]
+        for command in ("contingency", "responsibility")
+        for t in causes
+    ]
+    for command in commands:
+        for fmt in ("text", "json"):
+            renders.clear()
+            code, out, _ = run(capsys, [*command, "--db", db, "--format", fmt])
+            assert code == 0, command
+            printed = {int(t) for t in re.findall(r"#(\d+)", out)}
+            assert max(renders.values(), default=0) <= 1, (command, fmt, renders)
+            assert set(renders) <= printed, (command, fmt, renders, printed)
 
 
 def test_query_command(files, capsys):

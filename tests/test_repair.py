@@ -1,4 +1,6 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from whydb import (
     DC,
@@ -45,6 +47,51 @@ def test_minimal_hitting_sets_basic():
 
 def test_minimal_hitting_sets_no_edges():
     assert _minimal_hitting_sets([]) == [frozenset()]
+
+
+def _brute_transversals(edges, n):
+    """The minimal hitting sets of the edges over tids 1..n, straight from
+    the definition: every subset, kept if it meets every edge and no subset
+    with one element less does."""
+    masks = [sum(1 << (t - 1) for t in edge) for edge in edges]
+    hits = [all(m & e for e in masks) for m in range(1 << n)]
+    return {
+        frozenset(t + 1 for t in range(n) if m >> t & 1)
+        for m in range(1 << n)
+        if hits[m] and not any(hits[m & ~(1 << t)] for t in range(n) if m >> t & 1)
+    }
+
+
+@st.composite
+def _families(draw):
+    n = draw(st.integers(1, 14))
+    tids = st.integers(1, n)
+    edges = draw(st.lists(st.frozensets(tids, min_size=1, max_size=5), max_size=10))
+    return n, edges, draw(st.frozensets(tids, max_size=2)), draw(st.integers(0, n))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_families())
+def test_minimal_hitting_sets_match_brute_force(family):
+    """Every mode against the definition, on families with repeated and
+    non-minimal edges: each set exactly once, and none that is not minimal."""
+    n, edges, start, most = family
+    expected = _brute_transversals(edges, n)
+
+    found = _minimal_hitting_sets(edges)
+    assert len(found) == len(set(found)) and set(found) == expected
+
+    found = _minimal_hitting_sets(edges, start=start)
+    assert len(found) == len(set(found))
+    assert set(found) == {h for h in expected if start <= h}
+
+    found = _minimal_hitting_sets(edges, most=most)
+    assert len(found) == len(set(found))
+    assert set(found) == {h for h in expected if len(h) <= most}
+
+    found = _minimal_hitting_sets(edges, shrink=True)
+    assert len(found) == len(set(found)) and set(found) <= expected
+    assert len(found[-1]) == min(map(len, expected))
 
 
 def test_minimal_hitting_sets_too_deep_is_a_budget_error():
