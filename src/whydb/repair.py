@@ -263,12 +263,13 @@ def _fewest(edges: Iterable[frozenset[int]]) -> int:
 class Hypergraph:
     """The violation hypergraph of one instance under one constraint set.
 
-    `edges` are the endogenous parts of the violation edges, `minimal` the
-    inclusion-minimal ones, and `components` the minimal edges grouped by
-    shared tuples; all in canonical order, by sorted tids. The S-repairs
-    delete exactly the minimal hitting sets of `edges`, which are those of
-    `minimal`, and such a set is a choice of one minimal hitting set per
-    component. So a C-repair deletes a smallest set per component.
+    `minimal` holds the inclusion-minimal endogenous parts of the violation
+    edges, and `components` the same edges grouped by shared tuples; both
+    in canonical order, by sorted tids. The S-repairs delete exactly the
+    minimal hitting sets of all edges, which are those of `minimal`, so
+    every search reads `minimal` alone. Such a set is a choice of one
+    minimal hitting set per component, so a C-repair deletes a smallest set
+    per component.
     """
 
     def __init__(self, inst: Instance, ground: Iterable[ViolationEdge]):
@@ -282,8 +283,7 @@ class Hypergraph:
                     f"violation {{{facts}}} involves only exogenous tuples"
                 )
             edges.add(candidates)
-        self.edges = sorted(edges, key=_canonical)
-        self.minimal = _minimal_edges(self.edges)
+        self.minimal = _minimal_edges(edges)
         self.components = _components(self.minimal)
 
     @classmethod
@@ -291,8 +291,12 @@ class Hypergraph:
         return cls(inst, violations(inst, cs))
 
     def minimum_size(self) -> int:
-        """The deletion count of every C-repair."""
-        return _fewest(self.minimal)
+        """The deletion count of every C-repair: per component, the size of
+        a smallest hitting set."""
+        return sum(
+            len(_minimal_hitting_sets(component, shrink=True)[-1])
+            for component in self.components
+        )
 
     def minimum_hitting_sets(self) -> list[frozenset[int]]:
         """The deletion sets of the C-repairs, by a search over the whole
@@ -344,7 +348,7 @@ def s_repairs(
     graph = Hypergraph.of(inst, cs)
     repairs = [
         Repair(inst.tids - deleted, deleted)
-        for deleted in _minimal_hitting_sets(graph.edges)
+        for deleted in _minimal_hitting_sets(graph.minimal)
     ]
     if hard:
         repairs = [
