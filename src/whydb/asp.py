@@ -4,12 +4,21 @@ Nothing here is executed: the emitted programs document the repair/causality
 encoding and allow external cross-validation with an ASP solver. Every tuple
 becomes a fact whose first argument is its tid, and each predicate P gets a
 nickname predicate p_x carrying one extra trailing annotation argument, `d`
-for "delete" and `s` for "stays".
+for "delete" and `s` for "stays". A constant is written bare only when it is
+an ASP-Core-2 symbolic constant other than `not`, or a numeral without
+leading zeros; every other constant is quoted.
+
+Both programs start alike: header, facts, and per denial constraint its
+delete rule and the stays rules not emitted yet (`_prefix`). One renderer,
+`_render_dc`, writes a constraint's atoms over base or nickname predicates
+for the body, delete, stays and hard-constraint atoms alike.
 
 Dialects: `core_disjunctive` uses disjunctive heads (`|`), `core_normalized`
 rewrites each disjunction into one rule per disjunct with the other
 disjuncts negated in the body, and `extended` targets DLV/DLV-Complex
 (`v` disjunction, set built-ins, count aggregate, legacy weak constraints).
+The normalized rewriting is not equivalent when two atoms of a constraint
+unify: the ground rule reads `a :- not a` (see README).
 """
 
 from __future__ import annotations
@@ -49,38 +58,42 @@ class AspProgram:
     predicate_map: Mapping[str, str]
 
 
-_SAFE_CONSTANT = re.compile(r"[a-z][A-Za-z0-9_]*|\d+")
+_SAFE_CONSTANT = re.compile(r"[a-z][A-Za-z0-9_]*|0|[1-9][0-9]*")
 _RESERVED = ("cause", "ans", "con", "pre_rho", "rho")
+_CONTINGENCY = (
+    "% contingency sets as set terms (needs set built-ins)",
+    "con(T,{Tp}) :- cause(T,Tp).",
+    "con(T,#union(C1,C2)) :- con(T,C1), con(T,C2), "
+    "#member(M,C1), not #member(M,C2).",
+)
+_RESPONSIBILITY = (
+    "% responsibility via counting",
+    "% caveat: integer-only solvers cannot represent 1/k, so rho below has",
+    "% no solution for positive counts; kept for documentation and",
+    "% cross-checking, native computation stays authoritative.",
+    "pre_rho(T,N) :- #count{Tp : con(T,Tp)} = N.",
+    "rho(T,M) :- M * (pre_rho(T,M) + 1) = 1.",
+)
 
 
 def _emit_constant(value: str) -> str:
-    if _SAFE_CONSTANT.fullmatch(value):
+    if value != "not" and _SAFE_CONSTANT.fullmatch(value):
         return value
     escaped = value.replace("\\", "\\\\").replace('"', '\\"')
     return f'"{escaped}"'
 
 
-def _argument_pool(count: int, names: tuple[str, str, str]) -> list[str]:
+def _argument_pool(count: int, names: str = "XYZ") -> list[str]:
     return [names[i] if i < 3 else f"{names[0]}{i + 1}" for i in range(count)]
 
 
 def _collect_predicates(
-    inst: Instance, cs: ConstraintSet, hard: Sequence[HardConstraint]
+    inst: Instance, constraints: Sequence[HardConstraint]
 ) -> dict[str, int]:
-    """Predicate -> arity over everything the program mentions."""
+    """Predicate -> arity over everything the program mentions, checked in
+    constraint order."""
     arities: dict[str, int] = dict(inst.arities)
-
-    def note(name: str, arity: int) -> None:
-        known = arities.get(name)
-        if known is None:
-            arities[name] = arity
-        elif known != arity:
-            raise EmitError(f"arity clash for {name}: {known} vs {arity}")
-
-    for dc in cs.dcs:
-        for atom in dc.body.atoms:
-            note(atom.predicate, len(atom.terms))
-    for constraint in hard:
+    for constraint in constraints:
         if isinstance(constraint, ReferentialConstraint):
             for name, positions in (
                 (constraint.source, constraint.source_positions),
@@ -95,9 +108,13 @@ def _collect_predicates(
                         f"position {max(positions)} out of range for "
                         f"{name}/{arities[name]}"
                     )
-        else:
-            for atom in constraint.body.atoms:
-                note(atom.predicate, len(atom.terms))
+            continue
+        for atom in constraint.body.atoms:
+            known = arities.setdefault(atom.predicate, len(atom.terms))
+            if known != len(atom.terms):
+                raise EmitError(
+                    f"arity clash for {atom.predicate}: {known} vs {len(atom.terms)}"
+                )
     return arities
 
 
@@ -126,36 +143,29 @@ def _name_predicates(
     return base, nick
 
 
-def _dc_variable_map(dc: DC) -> tuple[list[str], dict[str, str]]:
-    """Tid variables per atom plus a deterministic source-var -> ASP-var map."""
-    tid_vars = [f"T{i + 1}" for i in range(len(dc.body.atoms))]
-    used = set(tid_vars)
-    mapping: dict[str, str] = {}
+def _render_dc(dc: DC, names: Mapping[str, str], mark: str = "") -> list[str]:
+    """The atoms of a DC over the emitted predicate `names`, the i-th with
+    tid variable T<i> first and `mark` (",d", ",s" or "") last, followed by
+    its inequalities. A source variable is capitalized, and prefixed with V
+    while it clashes with a tid variable or an earlier one."""
+    atoms = dc.body.atoms
+    used = {f"T{i + 1}" for i in range(len(atoms))}
+    renamed: dict[str, str] = {}
+    for term in itertools.chain(*(a.terms for a in atoms), *dc.body.inequalities):
+        if isinstance(term, Var) and term.name not in renamed:
+            candidate = term.name[0].upper() + term.name[1:]
+            while candidate in used:
+                candidate = "V" + candidate
+            renamed[term.name] = candidate
+            used.add(candidate)
 
-    def admit(name: str) -> None:
-        if name in mapping:
-            return
-        candidate = name[0].upper() + name[1:]
-        while candidate in used:
-            candidate = "V" + candidate
-        mapping[name] = candidate
-        used.add(candidate)
+    def text(term) -> str:
+        return renamed[term.name] if isinstance(term, Var) else _emit_constant(term)
 
-    for atom in dc.body.atoms:
-        for term in atom.terms:
-            if isinstance(term, Var):
-                admit(term.name)
-    for left, right in dc.body.inequalities:
-        for term in (left, right):
-            if isinstance(term, Var):
-                admit(term.name)
-    return tid_vars, mapping
-
-
-def _term_text(term, mapping: dict[str, str]) -> str:
-    if isinstance(term, Var):
-        return mapping[term.name]
-    return _emit_constant(term)
+    return [
+        f"{names[a.predicate]}(T{i + 1},{','.join(map(text, a.terms))}{mark})"
+        for i, a in enumerate(atoms)
+    ] + [f"{text(left)} != {text(right)}" for left, right in dc.body.inequalities]
 
 
 def _dc_rule_lines(
@@ -166,72 +176,49 @@ def _dc_rule_lines(
     nick: Mapping[str, str],
     stays_seen: set[str],
 ) -> list[str]:
-    tid_vars, mapping = _dc_variable_map(dc)
-    atoms = dc.body.atoms
-    body_atoms = []
-    delete_atoms = []
-    stays_rules = []
-    for i, atom in enumerate(atoms):
-        args = ",".join(_term_text(t, mapping) for t in atom.terms)
-        body_atoms.append(f"{base[atom.predicate]}({tid_vars[i]},{args})")
-        delete_atoms.append(f"{nick[atom.predicate]}({tid_vars[i]},{args},d)")
-        stays_rules.append(
-            f"{nick[atom.predicate]}({tid_vars[i]},{args},s) :- "
-            f"{base[atom.predicate]}({tid_vars[i]},{args}), "
-            f"not {nick[atom.predicate]}({tid_vars[i]},{args},d)."
-        )
-    inequalities = [
-        f"{_term_text(l, mapping)} != {_term_text(r, mapping)}"
-        for l, r in dc.body.inequalities
-    ]
-    body = ", ".join(body_atoms + inequalities)
-
+    n = len(dc.body.atoms)
+    body = _render_dc(dc, base)
+    delete = _render_dc(dc, nick, ",d")[:n]
+    stays = _render_dc(dc, nick, ",s")[:n]
+    joined = ", ".join(body)
     lines = [f"% constraint: {label}"]
     if dialect is AspDialect.CORE_NORMALIZED:
-        for i in range(len(atoms)):
-            negated = [f"not {delete_atoms[j]}" for j in range(len(atoms)) if j != i]
-            rule_body = ", ".join([body] + negated) if negated else body
-            lines.append(f"{delete_atoms[i]} :- {rule_body}.")
+        for i in range(n):
+            negated = [f"not {d}" for j, d in enumerate(delete) if j != i]
+            lines.append(f"{delete[i]} :- {', '.join([joined, *negated])}.")
     else:
         joiner = " v " if dialect is AspDialect.EXTENDED else " | "
-        lines.append(f"{joiner.join(delete_atoms)} :- {body}.")
-    for rule in stays_rules:
+        lines.append(f"{joiner.join(delete)} :- {joined}.")
+    for i in range(n):
+        rule = f"{stays[i]} :- {body[i]}, not {delete[i]}."
         if rule not in stays_seen:
             stays_seen.add(rule)
             lines.append(rule)
     return lines
 
 
-def _fact_lines(inst: Instance, base: Mapping[str, str]) -> list[str]:
-    lines = []
-    for fact in inst.facts:
-        args = ",".join(_emit_constant(a) for a in fact.args)
-        lines.append(f"{base[fact.predicate]}({fact.tid},{args}).")
-    return lines
-
-
-def _program_body(
+def _prefix(
+    kind: str,
     inst: Instance,
     cs: ConstraintSet,
     dialect: AspDialect,
-    base: Mapping[str, str],
-    nick: Mapping[str, str],
-) -> list[str]:
-    lines: list[str] = []
+    hard: Sequence[HardConstraint] = (),
+) -> tuple[list[str], dict[str, int], dict[str, str], dict[str, str]]:
+    """The part both programs share: header, facts and the rules of each
+    constraint of `cs`; with the arities and the base and nickname names
+    over `cs` and `hard`."""
+    arities = _collect_predicates(inst, (*cs.dcs, *hard))
+    base, nick = _name_predicates(arities, causality=kind == "causality")
+    lines = [f"% whydb {__version__} {kind} program", f"% dialect: {dialect.value}"]
     if len(inst):
         lines.append("% facts")
-        lines.extend(_fact_lines(inst, base))
+        for fact in inst.facts:
+            args = ",".join(map(_emit_constant, fact.args))
+            lines.append(f"{base[fact.predicate]}({fact.tid},{args}).")
     stays_seen: set[str] = set()
     for dc, label in zip(cs.dcs, cs.labels):
         lines.extend(_dc_rule_lines(dc, label, dialect, base, nick, stays_seen))
-    return lines
-
-
-def _header(kind: str, dialect: AspDialect) -> list[str]:
-    return [
-        f"% whydb {__version__} {kind} program",
-        f"% dialect: {dialect.value}",
-    ]
+    return lines, arities, base, nick
 
 
 def emit_repair_program(
@@ -240,68 +227,21 @@ def emit_repair_program(
     """The repair program: instance facts plus, per denial constraint, one
     disjunctive delete rule (or its normalized rewriting) and one stays rule
     per constraint atom."""
-    arities = _collect_predicates(inst, cs, ())
-    base, nick = _name_predicates(arities, causality=False)
-    lines = _header("repair", dialect)
-    lines.extend(_program_body(inst, cs, dialect, base, nick))
+    lines, _, _, nick = _prefix("repair", inst, cs, dialect)
     return AspProgram("\n".join(lines) + "\n", dialect, dict(nick))
 
 
 def _cause_rule_lines(cs: ConstraintSet, nick, arities) -> list[str]:
-    lines = ["% cause rules"]
-    seen: set[str] = set()
+    rules: dict[str, None] = {}
     for dc in cs.dcs:
-        order: list[str] = []
-        for atom in dc.body.atoms:
-            if atom.predicate not in order:
-                order.append(atom.predicate)
+        order = dict.fromkeys(atom.predicate for atom in dc.body.atoms)
         for left, right in itertools.product(order, repeat=2):
-            first = _argument_pool(arities[left], ("X", "Y", "Z"))
-            second = _argument_pool(arities[right], ("U", "V", "W"))
-            body = (
-                f"{nick[left]}(T,{','.join(first)},d), "
-                f"{nick[right]}(Tp,{','.join(second)},d)"
-            )
-            if left == right:
-                body += ", T != Tp"
-            rule = f"cause(T,Tp) :- {body}."
-            if rule not in seen:
-                seen.add(rule)
-                lines.append(rule)
-    return lines
-
-
-def _answer_rule_lines(cs: ConstraintSet, nick, arities) -> list[str]:
-    lines = ["% actual causes by tid (query under brave semantics)"]
-    order: list[str] = []
-    for dc in cs.dcs:
-        for atom in dc.body.atoms:
-            if atom.predicate not in order:
-                order.append(atom.predicate)
-    for predicate in order:
-        args = ",".join(_argument_pool(arities[predicate], ("X", "Y", "Z")))
-        lines.append(f"ans(T) :- {nick[predicate]}(T,{args},d).")
-    return lines
-
-
-def _contingency_lines() -> list[str]:
-    return [
-        "% contingency sets as set terms (needs set built-ins)",
-        "con(T,{Tp}) :- cause(T,Tp).",
-        "con(T,#union(C1,C2)) :- con(T,C1), con(T,C2), "
-        "#member(M,C1), not #member(M,C2).",
-    ]
-
-
-def _responsibility_lines() -> list[str]:
-    return [
-        "% responsibility via counting",
-        "% caveat: integer-only solvers cannot represent 1/k, so rho below has",
-        "% no solution for positive counts; kept for documentation and",
-        "% cross-checking, native computation stays authoritative.",
-        "pre_rho(T,N) :- #count{Tp : con(T,Tp)} = N.",
-        "rho(T,M) :- M * (pre_rho(T,M) + 1) = 1.",
-    ]
+            first = ",".join(_argument_pool(arities[left]))
+            second = ",".join(_argument_pool(arities[right], "UVW"))
+            apart = ", T != Tp" if left == right else ""
+            body = f"{nick[left]}(T,{first},d), {nick[right]}(Tp,{second},d)"
+            rules[f"cause(T,Tp) :- {body}{apart}."] = None
+    return ["% cause rules", *rules]
 
 
 def _hard_constraint_lines(
@@ -310,53 +250,25 @@ def _hard_constraint_lines(
     lines = ["% hard integrity constraints (filter models violating them)"]
     aux_index = 0
     for constraint in hard:
-        if isinstance(constraint, ReferentialConstraint):
-            aux_index += 1
-            aux = "aux" if aux_index == 1 else f"aux{aux_index}"
-            if aux in set(base.values()) | set(nick.values()):
-                raise EmitError(
-                    f"predicate collides with the reserved emitted name {aux!r}"
-                )
-            target_args = _argument_pool(
-                arities[constraint.target], ("X", "Y", "Z")
+        if not isinstance(constraint, ReferentialConstraint):
+            lines.append(f":- {', '.join(_render_dc(constraint, nick, ',s'))}.")
+            continue
+        aux_index += 1
+        aux = "aux" if aux_index == 1 else f"aux{aux_index}"
+        if aux in base.values():
+            raise EmitError(
+                f"predicate collides with the reserved emitted name {aux!r}"
             )
-            projected = [target_args[p - 1] for p in constraint.target_positions]
-            lines.append(
-                f"{aux}({','.join(projected)}) :- "
-                f"{nick[constraint.target]}(Tp,{','.join(target_args)},s)."
-            )
-            source_args = _argument_pool(
-                arities[constraint.source], ("X", "Y", "Z")
-            )
-            held = [source_args[p - 1] for p in constraint.source_positions]
-            lines.append(
-                f":- {nick[constraint.source]}(T,{','.join(source_args)},s), "
-                f"not {aux}({','.join(held)})."
-            )
-        else:
-            tid_vars, mapping = _dc_variable_map(constraint)
-            atoms = [
-                f"{nick[a.predicate]}({tid_vars[i]},"
-                f"{','.join(_term_text(t, mapping) for t in a.terms)},s)"
-                for i, a in enumerate(constraint.body.atoms)
-            ]
-            ineqs = [
-                f"{_term_text(l, mapping)} != {_term_text(r, mapping)}"
-                for l, r in constraint.body.inequalities
-            ]
-            lines.append(f":- {', '.join(atoms + ineqs)}.")
-    return lines
-
-
-def _weak_constraint_lines(dialect: AspDialect, base, nick, arities) -> list[str]:
-    lines = ["% weak constraints: minimize the number of deleted tuples"]
-    for predicate in sorted(arities, key=lambda p: base[p]):
-        args = ",".join(_argument_pool(arities[predicate], ("X", "Y", "Z")))
-        body = f"{base[predicate]}(T,{args}), {nick[predicate]}(T,{args},d)"
-        if dialect is AspDialect.EXTENDED:
-            lines.append(f":~ {body}. [1:1]")
-        else:
-            lines.append(f":~ {body}. [1@1, T]")
+        target = _argument_pool(arities[constraint.target])
+        projected = ",".join(target[p - 1] for p in constraint.target_positions)
+        lines.append(
+            f"{aux}({projected}) :- {nick[constraint.target]}(Tp,{','.join(target)},s)."
+        )
+        source = _argument_pool(arities[constraint.source])
+        held = ",".join(source[p - 1] for p in constraint.source_positions)
+        lines.append(
+            f":- {nick[constraint.source]}(T,{','.join(source)},s), not {aux}({held})."
+        )
     return lines
 
 
@@ -379,21 +291,27 @@ def emit_causality_program(
                 "responsibility rules build on the contingency union block"
             )
     cs = negate_query(q)
-    arities = _collect_predicates(inst, cs, opts.hard_constraints)
-    base, nick = _name_predicates(arities, causality=True)
-    lines = _header("causality", dialect)
-    lines.extend(_program_body(inst, cs, dialect, base, nick))
+    lines, arities, base, nick = _prefix(
+        "causality", inst, cs, dialect, opts.hard_constraints
+    )
     if opts.cause_rules:
         lines.extend(_cause_rule_lines(cs, nick, arities))
-    lines.extend(_answer_rule_lines(cs, nick, arities))
+    lines.append("% actual causes by tid (query under brave semantics)")
+    for p in dict.fromkeys(a.predicate for dc in cs.dcs for a in dc.body.atoms):
+        args = ",".join(_argument_pool(arities[p]))
+        lines.append(f"ans(T) :- {nick[p]}(T,{args},d).")
     if opts.contingency_union:
-        lines.extend(_contingency_lines())
+        lines.extend(_CONTINGENCY)
     if opts.responsibility_rules:
-        lines.extend(_responsibility_lines())
+        lines.extend(_RESPONSIBILITY)
     if opts.hard_constraints:
         lines.extend(
             _hard_constraint_lines(opts.hard_constraints, base, nick, arities)
         )
     if opts.weak_constraints:
-        lines.extend(_weak_constraint_lines(dialect, base, nick, arities))
+        lines.append("% weak constraints: minimize the number of deleted tuples")
+        weight = "[1:1]" if dialect is AspDialect.EXTENDED else "[1@1, T]"
+        for p in sorted(arities, key=lambda p: base[p]):
+            args = ",".join(_argument_pool(arities[p]))
+            lines.append(f":~ {base[p]}(T,{args}), {nick[p]}(T,{args},d). {weight}")
     return AspProgram("\n".join(lines) + "\n", dialect, dict(nick))

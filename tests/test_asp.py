@@ -6,6 +6,7 @@ from whydb import (
     EmitError,
     emit_causality_program,
     emit_repair_program,
+    eval_bcq,
     load_instance,
     negate_query,
     parse_constraints,
@@ -258,6 +259,18 @@ def test_quoted_constants_in_facts():
     text = emit_repair_program(inst, cs, AspDialect.CORE_DISJUNCTIVE).text
     assert 's(1,"A4").' in text
     assert 's(2,"9lives").' in text
+
+
+def test_constants_asp_cannot_read_bare_are_quoted():
+    # ASP-Core-2 numerals have no leading zeros, and `not` is a keyword: read
+    # bare, 007 would join with 7 where whydb finds no match
+    inst = load_instance("S(007). R(7,a). S(a). S(not). S(0). S(10).")
+    q = parse_query('q :- S(x), R(x,y), S(y).\nq :- S("007"), S("not").')
+    assert not eval_bcq(inst, parse_query("q :- S(x), R(x,y), S(y)."))
+    text = emit_causality_program(inst, q, AspDialect.CORE_DISJUNCTIVE).text
+    for fact in ['s(1,"007").', "r(2,7,a).", "s(3,a).", 's(4,"not").', "s(5,0).", "s(6,10)."]:
+        assert fact in text.splitlines()
+    assert 's_x(T1,"007",d) | s_x(T2,"not",d) :- s(T1,"007"), s(T2,"not").' in text
 
 
 def test_golden_repair_program(dstar, kq):
