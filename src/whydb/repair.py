@@ -250,13 +250,13 @@ def _components(edges: Sequence[frozenset[int]]) -> list[list[frozenset[int]]]:
     return out
 
 
-def _fewest(edges: Iterable[frozenset[int]]) -> int:
-    """The size of a smallest hitting set of the edges: over the components
-    of their minimal members, the sum of the sizes that a branch-and-bound
-    search finds."""
+def _fewest(components: Iterable[Sequence[frozenset[int]]]) -> int:
+    """The size of a smallest hitting set of edges split into connected
+    components: the sum of the sizes that a branch-and-bound search finds
+    per component."""
     return sum(
         len(_minimal_hitting_sets(component, shrink=True)[-1])
-        for component in _components(_minimal_edges(edges))
+        for component in components
     )
 
 
@@ -291,12 +291,8 @@ class Hypergraph:
         return cls(inst, violations(inst, cs))
 
     def minimum_size(self) -> int:
-        """The deletion count of every C-repair: per component, the size of
-        a smallest hitting set."""
-        return sum(
-            len(_minimal_hitting_sets(component, shrink=True)[-1])
-            for component in self.components
-        )
+        """The deletion count of every C-repair."""
+        return _fewest(self.components)
 
     def minimum_hitting_sets(self) -> list[frozenset[int]]:
         """The deletion sets of the C-repairs, by a search over the whole
@@ -324,8 +320,11 @@ class Hypergraph:
                 break
         else:
             return 0
-        own = min(_fewest([f - e for f in component if t not in f]) for e in holding)
-        others = [f for i, c in enumerate(self.components) if i != index for f in c]
+        rest = [f for f in component if t not in f]
+        own = min(
+            _fewest(_components(_minimal_edges(f - e for f in rest))) for e in holding
+        )
+        others = [c for i, c in enumerate(self.components) if i != index]
         return 1 + own + _fewest(others)
 
 
