@@ -11,6 +11,9 @@ from whydb import (
     UnknownTidError,
     actual_causes,
     brute_causes,
+    brute_causes_from_repairs,
+    brute_repairs,
+    c_repairs,
     causes_under_ics,
     contingency_sets,
     counterfactual_causes,
@@ -19,10 +22,13 @@ from whydb import (
     eval_bcq,
     load_instance,
     most_responsible_causes,
+    negate_query,
     parse_hard_constraints,
     parse_query,
     responsibility,
+    s_repairs,
 )
+from whydb.oracle import _hard_ok
 
 from conftest import QSTAR_TEXT
 from corpus import corpus
@@ -244,3 +250,64 @@ def test_per_tuple_views_match_the_reports_on_corpus():
             )
             checked += len(sets) > 1
     assert checked > 0  # some tuple has several contingency sets to order
+
+
+# hard-constraint sets over the corpus predicates P/1, Q/2 and R/3
+CORPUS_HARD = {
+    "referential": "Q[1] <= P[1].",
+    "dc": ":- Q(x,y), Q(y,x), x != y.",
+    "mixed": "R[1,2] <= Q[1,2].\n:- P(x), Q(x,x).",
+}
+
+
+def _deleted(repairs):
+    return [r.deleted for r in repairs]
+
+
+def _cause_keys(reports):
+    return [
+        (r.tid, r.responsibility, r.minimal_contingency_sets,
+         r.is_counterfactual, r.is_most_responsible)
+        for r in reports
+    ]
+
+
+def _or_error(call):
+    try:
+        return call()
+    except (PreconditionError, IrreparableError) as exc:
+        return type(exc)
+
+
+@pytest.mark.parametrize("name", sorted(CORPUS_HARD))
+def test_hard_constraint_route_matches_oracle_on_corpus(name):
+    """s_repairs, c_repairs and causes_under_ics under hard constraints
+    agree with the brute-force repair route, errors included: a violation
+    of exogenous tuples alone leaves the oracle no repair at all, and an
+    instance that breaks a hard constraint is refused before any search."""
+    hard = parse_hard_constraints(CORPUS_HARD[name])
+    filtered = causes = 0
+    for inst, q in corpus(200):
+        cs = negate_query(q)
+        unfiltered = brute_repairs(inst, cs)
+        irreparable = not unfiltered
+        want = brute_repairs(inst, cs, hard)
+        if irreparable:
+            want_s = want_c = IrreparableError
+        else:
+            want_s = _deleted(want)
+            want_c = [r.deleted for r in want if r.c_repair]
+        assert _or_error(lambda: _deleted(s_repairs(inst, cs, hard))) == want_s
+        assert _or_error(lambda: _deleted(c_repairs(inst, cs, hard))) == want_c
+        if not all(_hard_ok(inst.facts, h) for h in hard):
+            want_causes = PreconditionError
+        elif irreparable:
+            want_causes = IrreparableError
+        else:
+            want_causes = _cause_keys(brute_causes_from_repairs(inst, q, hard))
+            causes += bool(want_causes)
+        got = _or_error(lambda: _cause_keys(causes_under_ics(inst, q, hard)))
+        assert got == want_causes
+        filtered += len(want) < len(unfiltered)
+    # the filter discards repairs, and causes survive it, on some instances
+    assert filtered > 0 and causes > 0

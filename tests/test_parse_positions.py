@@ -66,6 +66,7 @@ CASES = {
     "facts/mixed-tids-implicit-later": ("facts", "P[1](a).\n  P(b)."),
     "facts/mixed-tids-explicit-later": ("facts", "P(a).\n  P[2](b).\n P(c)."),
     "facts/comment-only": ("facts", "% nothing here\n"),
+    "facts/empty": ("facts", ""),
     # queries
     "query/empty": ("query", ""),
     "query/comment-only": ("query", "% no rules\n% at all\n"),
@@ -116,6 +117,8 @@ CASES = {
     "constraints/unsafe": ("constraints", ":- S(x), y != x."),
     "constraints/unsafe-second": ("constraints", ":- S(x).\n  :- S(x), y != x."),
     "constraints/unsafe-then-syntax": ("constraints", ":- S(x), y != x.\n:- R(x,."),
+    "constraints/empty": ("constraints", ""),
+    "constraints/comment-only": ("constraints", "% no constraints\r\n\t% here"),
     # hard constraints
     "hard/no-period": ("hard", "R[1] <= S[1]"),
     "hard/no-statement": ("hard", "1"),
@@ -127,6 +130,8 @@ CASES = {
     "hard/no-atom": ("hard", "R[1] <= S[1].\n:- x != y."),
     "hard/second": ("hard", "R[1] <= S[1].\n:- R(x,."),
     "hard/unsafe": ("hard", "% dc\n:- S(x), y != x."),
+    "hard/empty": ("hard", ""),
+    "hard/comment-only": ("hard", "\n% no hard constraints\n"),
 }
 for _parser, (_good, _bad) in STATEMENTS.items():
     for _layout, _template in LAYOUT.items():

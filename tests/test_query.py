@@ -348,6 +348,8 @@ _JOIN_QUERIES = [
     "q(x,y) :- B(x,y), T(y,z,x).",
     "q(x) :- U(x), B(x,y), y != x.",
     'q(x) :- U(x).\nq(x) :- B(x,"b").',
+    'q :- B(x,y), "a" != "b", x != y.',
+    'q :- U(x), "a" != "a".',
 ]
 _JOIN_FDS = "fd B: 1 -> 2.\nfd T: 1,2 -> 3.\nfd T: 3 -> 1."
 
