@@ -7,6 +7,7 @@ out from an offset only when an error is reported.
 from __future__ import annotations
 
 import re
+from typing import Iterator
 
 from .errors import ParseError
 
@@ -28,6 +29,15 @@ class Scanner:
 
     def skip_layout(self) -> None:
         self.pos = _LAYOUT_RE.match(self.text, self.pos).end()
+
+    def statements(self) -> Iterator[int]:
+        """Each statement's start offset after layout, until the end of the
+        text; the caller reads one statement before taking the next."""
+        while True:
+            self.skip_layout()
+            if self.eof():
+                return
+            yield self.pos
 
     def lookahead_after_layout(self, offset: int = 0) -> str:
         """First non-layout character at or after pos+offset, without consuming."""

@@ -185,11 +185,7 @@ def load_instance(text: str) -> Instance:
     sc = Scanner(text)
     facts: list[tuple[bool, str, int | None, tuple[str, ...]]] = []
     starts: list[int] = []
-    while True:
-        sc.skip_layout()
-        if sc.eof():
-            break
-        start = sc.pos
+    for start in sc.statements():
         exogenous = sc.try_token("@exo")
         predicate = sc.read_identifier("predicate name")
         tid = None

@@ -289,11 +289,7 @@ def parse_query(text: str) -> UCQ:
     """Parse one or more rules sharing a head into a UCQ."""
     sc = Scanner(text)
     rules = []
-    while True:
-        sc.skip_layout()
-        if sc.eof():
-            break
-        start = sc.pos
+    for start in sc.statements():
         head_name = sc.read_identifier("rule head")
         head_vars: list[str] = []
         if sc.try_token("("):
@@ -336,11 +332,7 @@ def parse_constraints(
     sc = Scanner(text)
     dcs: list[DC] = []
     labels: list[str] = []
-    while True:
-        sc.skip_layout()
-        if sc.eof():
-            break
-        start = sc.pos
+    for start in sc.statements():
         if sc.try_token(":-"):
             dc = _read_dc(sc, start)
             dcs.append(dc)
@@ -409,8 +401,7 @@ def negate_query(q: UCQ) -> ConstraintSet:
     one DC per disjunct, body kept verbatim."""
     if q.free_vars:
         raise OpenQueryError("only boolean queries can be negated into constraints")
-    dcs = tuple(DC(cq) for cq in q.disjuncts)
-    return ConstraintSet(dcs, tuple(dc.render() for dc in dcs))
+    return ConstraintSet(tuple(DC(cq) for cq in q.disjuncts))
 
 
 # -- evaluation ------------------------------------------------------------
@@ -432,15 +423,13 @@ def _ground(term: Term, binding: dict[str, str]) -> str | None:
     return term
 
 
-def _inequalities_ok(cq: CQ, binding: dict[str, str], partial: bool) -> bool:
+def _inequalities_ok(cq: CQ, binding: dict[str, str]) -> bool:
+    """Whether no inequality of cq with both sides bound fails. A side not
+    bound yet is left to a later atom; safety puts every inequality
+    variable in some atom, so the check after the last atom is complete."""
     for left, right in cq.inequalities:
         lv = _ground(left, binding)
-        rv = _ground(right, binding)
-        if lv is None or rv is None:
-            if partial:
-                continue
-            return False
-        if lv == rv:
+        if lv is not None and lv == _ground(right, binding):
             return False
     return True
 
@@ -513,8 +502,7 @@ def _solutions(
 
     def extend(i: int, binding: dict[str, str], picked: list[Fact]):
         if i == len(steps):
-            if _inequalities_ok(cq, binding, partial=False):
-                yield dict(binding), tuple(picked)
+            yield dict(binding), tuple(picked)
             return
         atom, probe = steps[i]
         if probe is None:
@@ -526,7 +514,7 @@ def _solutions(
             extended = _match(atom, fact, binding)
             if extended is None:
                 continue
-            if not _inequalities_ok(cq, extended, partial=True):
+            if not _inequalities_ok(cq, extended):
                 continue
             picked.append(fact)
             yield from extend(i + 1, extended, picked)
