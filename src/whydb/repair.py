@@ -11,9 +11,9 @@ edges, and splits them into connected components, whose hitting sets
 combine freely. From it come the C-repairs (a search cut at the minimum
 size, a sum over components), the S-repairs holding one tuple, and the
 smallest of those, without listing every S-repair. `s_repairs` lists them
-all, and `c_repairs` under hard constraints filters that list, since a hard
-constraint judges a whole repair. Every search cuts a branch once a chosen
-tuple meets no edge alone, so it reaches only minimal hitting sets.
+all, less those breaking a hard constraint, which judges a whole repair;
+`c_repairs` then keeps the smallest. Every search cuts a branch once a
+chosen tuple meets no edge alone, so it reaches only minimal hitting sets.
 """
 
 from __future__ import annotations
@@ -106,11 +106,7 @@ def parse_hard_constraints(text: str) -> list[HardConstraint]:
     statements (`R[1] <= S[1].`), with `%` comments."""
     sc = Scanner(text)
     out: list[HardConstraint] = []
-    while True:
-        sc.skip_layout()
-        if sc.eof():
-            return out
-        start = sc.pos
+    for start in sc.statements():
         if sc.try_token(":-"):
             out.append(_read_dc(sc, start))
             continue
@@ -130,10 +126,16 @@ def parse_hard_constraints(text: str) -> list[HardConstraint]:
             )
         except ValueError as exc:
             raise sc.error(str(exc), at=start) from None
+    return out
 
 
 def _canonical(edge: frozenset[int]) -> tuple[int, ...]:
     return tuple(sorted(edge))
+
+
+def _by_size(deleted: frozenset[int]) -> tuple[int, tuple[int, ...]]:
+    """The order of deletion sets in every answer: (size, sorted tids)."""
+    return (len(deleted), _canonical(deleted))
 
 
 def _disjoint_count(sets: Sequence[frozenset[int]]) -> int:
@@ -264,12 +266,12 @@ class Hypergraph:
     """The violation hypergraph of one instance under one constraint set.
 
     `minimal` holds the inclusion-minimal endogenous parts of the violation
-    edges, and `components` the same edges grouped by shared tuples; both
-    in canonical order, by sorted tids. The S-repairs delete exactly the
+    edges, and `components` the same edges grouped by shared tuples; both in
+    canonical order, by sorted tids. The S-repairs delete exactly the
     minimal hitting sets of all edges, which are those of `minimal`, so
-    every search reads `minimal` alone. Such a set is a choice of one
-    minimal hitting set per component, so a C-repair deletes a smallest set
-    per component.
+    every search reads the minimal edges alone. Such a set is one minimal
+    hitting set per component, so a C-repair deletes a smallest one per
+    component, as does a smallest one holding t in each component but t's.
     """
 
     def __init__(self, inst: Instance, ground: Iterable[ViolationEdge]):
@@ -303,7 +305,7 @@ class Hypergraph:
         """The S-repair deletion sets that hold t, sorted by (size, tids).
         t is in one only if it is in some minimal edge."""
         found = _minimal_hitting_sets(self.minimal, start=frozenset({t}))
-        return sorted(found, key=lambda d: (len(d), _canonical(d)))
+        return sorted(found, key=_by_size)
 
     def fewest_with(self, t: int) -> int:
         """The size of a smallest S-repair deletion set holding t; 0 if none
@@ -312,24 +314,23 @@ class Hypergraph:
         Such a set is t, a minimal edge e that it meets in t alone, and a
         smallest hitting set of the other edges that avoids e: of the parts
         f - e of the edges f of t's component without t, and of every other
-        component whole.
+        component whole, a sum that does not depend on e.
         """
-        for index, component in enumerate(self.components):
-            holding = [e for e in component if t in e]
-            if holding:
-                break
-        else:
-            return 0
-        rest = [f for f in component if t not in f]
-        own = min(
-            _fewest(_components(_minimal_edges(f - e for f in rest))) for e in holding
-        )
-        others = [c for i, c in enumerate(self.components) if i != index]
-        return 1 + own + _fewest(others)
+        for own in self.components:
+            if any(t in e for e in own):
+                rest = [f for f in own if t not in f]
+                least = min(
+                    _fewest(_components(_minimal_edges(f - e for f in rest)))
+                    for e in own
+                    if t in e
+                )
+                return 1 + least + _fewest(c for c in self.components if c is not own)
+        return 0
 
 
-def _repair_sort_key(repair: Repair):
-    return (len(repair.deleted), _canonical(repair.deleted))
+def _repairs(inst: Instance, deleted: Iterable[frozenset[int]]) -> list[Repair]:
+    """The repairs deleting each set, sorted by (deletion count, tids)."""
+    return [Repair(inst.tids - d, d) for d in sorted(deleted, key=_by_size)]
 
 
 def s_repairs(
@@ -344,19 +345,12 @@ def s_repairs(
     repairs whose retained set violates them, they never trigger further
     deletions. Output is sorted by (deletion count, deleted tids).
     """
-    graph = Hypergraph.of(inst, cs)
-    repairs = [
-        Repair(inst.tids - deleted, deleted)
-        for deleted in _minimal_hitting_sets(graph.minimal)
-    ]
+    found = _minimal_hitting_sets(Hypergraph.of(inst, cs).minimal)
     if hard:
-        repairs = [
-            r
-            for r in repairs
-            if all(satisfies_hard(inst.restrict(r.retained), h) for h in hard)
+        found = [
+            d for d in found if all(satisfies_hard(inst.without(d), h) for h in hard)
         ]
-    repairs.sort(key=_repair_sort_key)
-    return repairs
+    return _repairs(inst, found)
 
 
 def c_repairs(
@@ -365,19 +359,13 @@ def c_repairs(
     hard: Sequence[HardConstraint] = (),
 ) -> list[Repair]:
     """The maximum-cardinality repairs. Without hard constraints they are
-    the minimum hitting sets of the hypergraph; with them, the s_repairs
-    with fewest deletions after filtering, since a filter may discard every
-    globally smallest repair."""
+    the minimum hitting sets of the hypergraph; with them, the first size
+    group of the sorted, filtered s_repairs, since a filter may discard
+    every globally smallest repair."""
     if not hard:
-        deleted = Hypergraph.of(inst, cs).minimum_hitting_sets()
-        repairs = [Repair(inst.tids - d, d) for d in deleted]
-        repairs.sort(key=_repair_sort_key)
-        return repairs
-    candidates = s_repairs(inst, cs, hard)
-    if not candidates:
-        return []
-    best = min(len(r.deleted) for r in candidates)
-    return [r for r in candidates if len(r.deleted) == best]
+        return _repairs(inst, Hypergraph.of(inst, cs).minimum_hitting_sets())
+    repairs = s_repairs(inst, cs, hard)
+    return [r for r in repairs if len(r.deleted) == len(repairs[0].deleted)]
 
 
 def classify_subset(
