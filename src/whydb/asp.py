@@ -118,10 +118,16 @@ def _collect_predicates(
     return arities
 
 
+def _aux_name(index: int) -> str:
+    """The helper predicate of the index-th referential hard constraint."""
+    return "aux" if index == 1 else f"aux{index}"
+
+
 def _name_predicates(
-    arities: Mapping[str, int], *, causality: bool
+    arities: Mapping[str, int], reserved: Sequence[str]
 ) -> tuple[dict[str, str], dict[str, str]]:
-    """Base and nickname names per predicate, with collision checks."""
+    """Base and nickname names per predicate, checked against each other
+    and against the `reserved` emitted names, in that order."""
     base = {p: p.lower() for p in arities}
     nick = {p: p.lower() + "_x" for p in arities}
     taken: dict[str, str] = {}
@@ -133,13 +139,12 @@ def _name_predicates(
                     f"need the emitted name {name!r}"
                 )
             taken[name] = p
-    if causality:
-        for reserved in _RESERVED:
-            if reserved in taken:
-                raise EmitError(
-                    f"predicate {taken[reserved]} collides with the reserved "
-                    f"emitted name {reserved!r}"
-                )
+    for name in reserved:
+        if name in taken:
+            raise EmitError(
+                f"predicate {taken[name]} collides with the reserved "
+                f"emitted name {name!r}"
+            )
     return base, nick
 
 
@@ -208,7 +213,11 @@ def _prefix(
     constraint of `cs`; with the arities and the base and nickname names
     over `cs` and `hard`."""
     arities = _collect_predicates(inst, (*cs.dcs, *hard))
-    base, nick = _name_predicates(arities, causality=kind == "causality")
+    reserved: tuple[str, ...] = ()
+    if kind == "causality":
+        refs = sum(isinstance(h, ReferentialConstraint) for h in hard)
+        reserved = (*_RESERVED, *(_aux_name(i + 1) for i in range(refs)))
+    base, nick = _name_predicates(arities, reserved)
     lines = [f"% whydb {__version__} {kind} program", f"% dialect: {dialect.value}"]
     if len(inst):
         lines.append("% facts")
@@ -245,7 +254,7 @@ def _cause_rule_lines(cs: ConstraintSet, nick, arities) -> list[str]:
 
 
 def _hard_constraint_lines(
-    hard: Sequence[HardConstraint], base, nick, arities
+    hard: Sequence[HardConstraint], nick, arities
 ) -> list[str]:
     lines = ["% hard integrity constraints (filter models violating them)"]
     aux_index = 0
@@ -254,11 +263,7 @@ def _hard_constraint_lines(
             lines.append(f":- {', '.join(_render_dc(constraint, nick, ',s'))}.")
             continue
         aux_index += 1
-        aux = "aux" if aux_index == 1 else f"aux{aux_index}"
-        if aux in base.values():
-            raise EmitError(
-                f"predicate collides with the reserved emitted name {aux!r}"
-            )
+        aux = _aux_name(aux_index)
         target = _argument_pool(arities[constraint.target])
         projected = ",".join(target[p - 1] for p in constraint.target_positions)
         lines.append(
@@ -305,9 +310,7 @@ def emit_causality_program(
     if opts.responsibility_rules:
         lines.extend(_RESPONSIBILITY)
     if opts.hard_constraints:
-        lines.extend(
-            _hard_constraint_lines(opts.hard_constraints, base, nick, arities)
-        )
+        lines.extend(_hard_constraint_lines(opts.hard_constraints, nick, arities))
     if opts.weak_constraints:
         lines.append("% weak constraints: minimize the number of deleted tuples")
         weight = "[1:1]" if dialect is AspDialect.EXTENDED else "[1@1, T]"

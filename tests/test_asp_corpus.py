@@ -137,7 +137,7 @@ def test_pin_reaches_every_hard_constraint_error():
         "position 2 out of range for P/1",
         "arity clash for P: 1 vs 2",
         "arity clash for Q: 2 vs 1",
-        "predicate collides with the reserved emitted name 'aux'",
+        "predicate Aux collides with the reserved emitted name 'aux'",
         "predicate Cause collides with the reserved emitted name 'cause'",
     ):
         assert any(m.startswith(prefix) for m in messages), prefix
