@@ -264,14 +264,6 @@ def _deleted(repairs):
     return [r.deleted for r in repairs]
 
 
-def _cause_keys(reports):
-    return [
-        (r.tid, r.responsibility, r.minimal_contingency_sets,
-         r.is_counterfactual, r.is_most_responsible)
-        for r in reports
-    ]
-
-
 def _or_error(call):
     try:
         return call()
@@ -304,10 +296,9 @@ def test_hard_constraint_route_matches_oracle_on_corpus(name):
         elif irreparable:
             want_causes = IrreparableError
         else:
-            want_causes = _cause_keys(brute_causes_from_repairs(inst, q, hard))
+            want_causes = brute_causes_from_repairs(inst, q, hard)
             causes += bool(want_causes)
-        got = _or_error(lambda: _cause_keys(causes_under_ics(inst, q, hard)))
-        assert got == want_causes
+        assert _or_error(lambda: causes_under_ics(inst, q, hard)) == want_causes
         filtered += len(want) < len(unfiltered)
     # the filter discards repairs, and causes survive it, on some instances
     assert filtered > 0 and causes > 0
