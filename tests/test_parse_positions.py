@@ -67,6 +67,9 @@ CASES = {
     "facts/mixed-tids-explicit-later": ("facts", "P(a).\n  P[2](b).\n P(c)."),
     "facts/comment-only": ("facts", "% nothing here\n"),
     "facts/empty": ("facts", ""),
+    "facts/comment-before-error": ("facts", "P % c\n  (a ,\t)"),
+    "facts/spaces-in-tid": ("facts", "@exo  P [ 3 ] ( a ) x"),
+    "facts/comment-before-eof": ("facts", "P(a) .\r\n  Q ( b , % c\n c"),
     # queries
     "query/empty": ("query", ""),
     "query/comment-only": ("query", "% no rules\n% at all\n"),
@@ -98,6 +101,10 @@ CASES = {
     "query/unsafe-second-rule": ("query", "q :- S(x).\n% next\n  q :- R(x,z), w != z."),
     "query/unsafe-then-syntax": ("query", "S(x) :- S(a).\nq :- R(x,."),
     "query/unsafe-then-heads-differ": ("query", "q(x) :- S(y).\np(x) :- S(x)."),
+    "query/spaces-around-quoted": ("query", 'q :- S( x ) , R(x , "a,b"   ).'),
+    "query/spaces-in-head": ("query", "q ( x , A ) :- S(x)."),
+    "query/comment-before-inequality-term": ("query", "q :- S (x) , x != % c\n ."),
+    "query/comment-before-missing-comma": ("query", "q :- S(x) % c\n R(x,y)."),
     # denial constraints and fds
     "constraints/no-atom": ("constraints", ":- x != y."),
     "constraints/no-atom-second": ("constraints", ":- S(x).\n  :- x != y."),
@@ -119,6 +126,7 @@ CASES = {
     "constraints/unsafe-then-syntax": ("constraints", ":- S(x), y != x.\n:- R(x,."),
     "constraints/empty": ("constraints", ""),
     "constraints/comment-only": ("constraints", "% no constraints\r\n\t% here"),
+    "constraints/fd-comment-before-arrow": ("constraints", "fd R : 1 , % c\n -> 2."),
     # hard constraints
     "hard/no-period": ("hard", "R[1] <= S[1]"),
     "hard/no-statement": ("hard", "1"),
@@ -132,6 +140,8 @@ CASES = {
     "hard/unsafe": ("hard", "% dc\n:- S(x), y != x."),
     "hard/empty": ("hard", ""),
     "hard/comment-only": ("hard", "\n% no hard constraints\n"),
+    "hard/comment-before-position": ("hard", "R [ 1 ] <= S [ % c\n ]."),
+    "hard/comment-before-missing-period": ("hard", "R[1] <= S[1] % c\n\t:- S(x)."),
 }
 for _parser, (_good, _bad) in STATEMENTS.items():
     for _layout, _template in LAYOUT.items():
