@@ -1,7 +1,9 @@
 """Cursor over input text, shared by the parsers.
 
-The cursor is a character offset into the text. Line and column are worked
-out from an offset only when an error is reported.
+The cursor is a character offset into the text. It always rests on a token
+or at the end of the text: `Scanner.advance` moves it past a consumed token
+and the layout after it, and is the only code that consumes layout. Line and
+column are worked out from an offset only when an error is reported.
 """
 
 from __future__ import annotations
@@ -22,21 +24,16 @@ class Scanner:
 
     def __init__(self, text: str):
         self.text = text
-        self.pos = 0
+        self.advance(0)
 
-    def eof(self) -> bool:
-        return self.pos >= len(self.text)
-
-    def skip_layout(self) -> None:
-        self.pos = _LAYOUT_RE.match(self.text, self.pos).end()
+    def advance(self, end: int) -> None:
+        """Consume the text up to offset `end` and the layout after it."""
+        self.pos = _LAYOUT_RE.match(self.text, end).end()
 
     def statements(self) -> Iterator[int]:
-        """Each statement's start offset after layout, until the end of the
-        text; the caller reads one statement before taking the next."""
-        while True:
-            self.skip_layout()
-            if self.eof():
-                return
+        """Each statement's start offset, until the end of the text; the
+        caller reads one statement before taking the next."""
+        while self.pos < len(self.text):
             yield self.pos
 
     def lookahead_after_layout(self, offset: int = 0) -> str:
@@ -58,19 +55,17 @@ class Scanner:
             raise self.error(f"expected {token!r}")
 
     def try_token(self, token: str) -> bool:
-        self.skip_layout()
         if self.text.startswith(token, self.pos):
-            self.pos += len(token)
+            self.advance(self.pos + len(token))
             return True
         return False
 
     def read(self, pattern: re.Pattern, what: str) -> str:
-        """Skip layout, then consume a match of `pattern` or raise `expected <what>`."""
-        self.skip_layout()
+        """Consume a match of `pattern` or raise `expected <what>`."""
         m = pattern.match(self.text, self.pos)
         if not m:
             raise self.error(f"expected {what}")
-        self.pos = m.end()
+        self.advance(m.end())
         return m.group()
 
     def read_identifier(self, what: str) -> str:

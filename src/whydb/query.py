@@ -216,19 +216,18 @@ _QUOTED_RE = re.compile(r'"([^"\n]*)("?)')
 
 
 def _read_term(sc: Scanner) -> Term:
-    sc.skip_layout()
     quoted = _QUOTED_RE.match(sc.text, sc.pos)
     if quoted:
         value, closed = quoted.groups()
         if not closed:
             raise sc.error("unterminated quoted constant", at=quoted.end())
-        sc.pos = quoted.end()
         if not is_constant(value):
-            raise sc.error(f"bad constant {value!r}")
+            raise sc.error(f"bad constant {value!r}", at=quoted.end())
+        sc.advance(quoted.end())
         return value
     m = VARIABLE_RE.match(sc.text, sc.pos)
     if m:
-        sc.pos = m.end()
+        sc.advance(m.end())
         return Var(m.group())
     return sc.read(_RAW_TERM_RE, "a term")
 
@@ -241,7 +240,6 @@ def _read_body(
     atoms: list[Atom] = []
     ineqs: list[tuple[Term, Term]] = []
     while True:
-        sc.skip_layout()
         m = IDENTIFIER_RE.match(sc.text, sc.pos)
         if m and sc.lookahead_after_layout(m.end() - sc.pos) == "(":
             predicate = sc.read_identifier("predicate name")
