@@ -93,15 +93,21 @@ def _consistent(facts: Sequence[Fact], cs: ConstraintSet) -> bool:
 
 def _hard_ok(facts: Sequence[Fact], constraint: HardConstraint) -> bool:
     if isinstance(constraint, ReferentialConstraint):
-        targets = {
-            tuple(f.args[p - 1] for p in constraint.target_positions)
-            for f in facts
-            if f.predicate == constraint.target
-        }
-        return all(
-            tuple(f.args[p - 1] for p in constraint.source_positions) in targets
-            for f in facts
-            if f.predicate == constraint.source
+
+        def keys(name: str, positions: tuple[int, ...]) -> set[tuple[str, ...]]:
+            out = set()
+            for f in facts:
+                if f.predicate == name:
+                    if max(positions) > len(f.args):
+                        raise ArityMismatchError(
+                            f"position {max(positions)} out of range for "
+                            f"{name}/{len(f.args)}"
+                        )
+                    out.add(tuple(f.args[p - 1] for p in positions))
+            return out
+
+        return keys(constraint.source, constraint.source_positions) <= keys(
+            constraint.target, constraint.target_positions
         )
     return not _cq_holds(facts, constraint.body)
 

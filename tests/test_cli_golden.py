@@ -38,6 +38,9 @@ FILES = {
     "k12.dc": K12_TEXT,
     "qstar.q": QSTAR_TEXT,
     "hard.ref": "R[1] <= S[1].\n:- R(x,y), R(y,x), x != y.",
+    "one.facts": "S(a).",
+    "pair.dc": ":- S(x), S(y), x != y.",
+    "wide.ref": "S[1] <= S[2].",
 }
 # fixture -> (query, constraint file)
 FIXTURES = {
@@ -126,6 +129,10 @@ def _cases() -> dict[str, tuple[list[str], dict[str, str]]]:
     add("error/oracle-check-no-input", "oracle-check", *db)
     guard = {"WHYDB_ORACLE_GUARD": "2"}
     add("error/oracle-check-guard", "oracle-check", *db, *query, env=guard)
+    add(
+        "error/oracle-check-hard-position", "oracle-check", "--db", "{dir}/one.facts",
+        "--constraints", "{dir}/pair.dc", "--hard", "{dir}/wide.ref",
+    )
     add("error/usage-missing-db", "causes", *query)
     add("error/usage-unknown-command", "no-such-command")
     add("error/usage-no-command")

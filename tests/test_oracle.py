@@ -3,6 +3,7 @@ from fractions import Fraction
 import pytest
 
 from whydb import (
+    ArityMismatchError,
     OracleGuardError,
     brute_causes,
     brute_causes_from_repairs,
@@ -119,3 +120,12 @@ def test_brute_repairs_with_hard_filter(dstar, qstar):
     reps = brute_repairs(dstar, negate_query(qstar), hard)
     assert [sorted(r.deleted) for r in reps] == [[1, 3]]
     assert reps[0].c_repair
+
+
+def test_brute_repairs_hard_position_out_of_range():
+    # the one repair keeps S(a), which has no position 2
+    inst = load_instance("S(a).")
+    cs = parse_constraints(":- S(x), S(y), x != y.")
+    hard = parse_hard_constraints("S[1] <= S[2].")
+    with pytest.raises(ArityMismatchError, match=r"^position 2 out of range for S/1$"):
+        brute_repairs(inst, cs, hard)
