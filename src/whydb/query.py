@@ -18,6 +18,7 @@ written quoted (``"a4"``) or start with an uppercase letter or digit.
 from __future__ import annotations
 
 import re
+import sys
 from dataclasses import dataclass
 from typing import Iterator, Mapping, Union
 
@@ -25,6 +26,7 @@ from ._scan import IDENTIFIER_RE, Scanner
 from .core import CONSTANT_STOP, Fact, Instance, is_constant
 from .errors import (
     ArityMismatchError,
+    BudgetExceededError,
     OpenQueryError,
     SafetyError,
 )
@@ -488,6 +490,8 @@ def _solutions(
     `_match` and the inequalities still check every term, so the index only
     narrows the candidates. Candidates come in tid order, so the
     enumeration is deterministic; `picked` lists the facts in plan order.
+    The join nests one step per atom; nesting deeper than the recursion
+    limit raises BudgetExceededError.
     """
     _check_arities(inst, cq)
     indexes: dict[tuple[str, int], dict[str, list[Fact]]] = {}
@@ -518,7 +522,13 @@ def _solutions(
             yield from extend(i + 1, extended, picked)
             picked.pop()
 
-    yield from extend(0, {}, [])
+    try:
+        yield from extend(0, {}, [])
+    except RecursionError:
+        raise BudgetExceededError(
+            f"join over {len(steps)} atoms needs more nested steps than the "
+            f"recursion limit ({sys.getrecursionlimit()}) allows"
+        ) from None
 
 
 def eval_bcq(inst: Instance, q: UCQ) -> bool:

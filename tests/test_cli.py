@@ -491,6 +491,18 @@ def test_responsibility_needs_no_repair_listing(fd_1100, capsys):
     assert out == "responsibility(T(k3,a)#7) = 1/1100\n"
 
 
+def test_deep_join_is_a_budget_error(tmp_path, capsys):
+    # the join nests one step per atom, so 1200 atoms pass the recursion limit
+    db = tmp_path / "two.facts"
+    db.write_text("S(a). S(b).")
+    query = "q :- " + ", ".join(f"S(x{i})" for i in range(1200)) + "."
+    for command in ("query", "causes", "counterfactual"):
+        code, out, err = run(capsys, [command, "--db", str(db), "-q", query])
+        assert code == 1 and out == "", command
+        assert len(err.splitlines()) == 1 and err.startswith("error: "), command
+        assert "1200 atoms" in err and "recursion limit" in err, command
+
+
 def test_exit_code_open_query_precondition(files, capsys):
     code, _, err = run(
         capsys, ["causes", "--db", files["dstar.facts"], "-q", "q(x) :- S(x)."]
