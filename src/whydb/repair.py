@@ -7,20 +7,20 @@ exogenous tuples alone is irreparable.
 
 `Hypergraph` is built once per (instance, constraint set). It keeps the
 inclusion-minimal edges, which have the same minimal hitting sets as all
-edges, and splits them into connected components, whose hitting sets
-combine freely. From it come the C-repairs (a search cut at the minimum
-size, a sum over components), the S-repairs holding one tuple, and the
-smallest of those, without listing every S-repair. `s_repairs` lists them
-all, less those breaking a hard constraint, which judges a whole repair;
-`c_repairs` then keeps the smallest. Every search cuts a branch once a
-chosen tuple meets no edge alone, so it reaches only minimal hitting sets.
+edges. From it come the C-repairs, the S-repairs holding one tuple, and the
+smallest of those, without listing every S-repair. One lazy search lists
+minimal hitting sets, cut at a size if asked; a smallest size is the least
+cut under which it finds one. `s_repairs` lists them all, less those
+breaking a hard constraint, which judges a whole repair; `c_repairs` then
+keeps the smallest. The search cuts a branch once a chosen tuple meets no
+edge alone, so it reaches only minimal hitting sets.
 """
 
 from __future__ import annotations
 
 import sys
 from dataclasses import dataclass
-from typing import Iterable, Sequence, Union
+from typing import Iterable, Iterator, Sequence, Union
 
 from ._scan import Scanner
 from .core import Instance
@@ -154,10 +154,9 @@ def _minimal_hitting_sets(
     edges: Sequence[frozenset[int]],
     start: frozenset[int] = frozenset(),
     most: int | None = None,
-    shrink: bool = False,
-) -> list[frozenset[int]]:
+) -> Iterator[frozenset[int]]:
     """The minimal hitting sets of the edge family that contain `start`,
-    each produced once.
+    each produced once, lazily.
 
     Branches over the free elements of the open edge with the fewest of
     them, in tid order; elements tried at a node are banned in later
@@ -170,20 +169,15 @@ def _minimal_hitting_sets(
     edge yields nothing.
 
     With `most`, a branch is cut once its chosen elements plus the number
-    of pairwise disjoint free parts of its open edges exceed `most`; with
-    `shrink`, each set found lowers `most` below its size, so the last is
-    a smallest one. The search recurses once per chosen element; nesting
-    deeper than the recursion limit raises BudgetExceededError.
+    of pairwise disjoint free parts of its open edges exceed `most`. The
+    search recurses once per chosen element; nesting deeper than the
+    recursion limit raises BudgetExceededError.
     """
     order = sorted(set(edges), key=_canonical)
-    found: list[frozenset[int]] = []
 
-    def search(chosen: frozenset[int], critical, banned, open_edges) -> None:
-        nonlocal most
+    def search(chosen: frozenset[int], critical, banned, open_edges):
         if not open_edges:
-            found.append(chosen)
-            if shrink:
-                most = len(chosen) - 1
+            yield chosen
             return
         free = [edge - banned for edge in open_edges] if banned else open_edges
         if most is not None and len(chosen) + _disjoint_count(free) > most:
@@ -193,21 +187,22 @@ def _minimal_hitting_sets(
             kept = [[e for e in own if t not in e] for own in critical]
             if all(kept):
                 kept.append([e for e in open_edges if t in e])
-                search(chosen | {t}, kept, blocked, [e for e in open_edges if t not in e])
+                rest = [e for e in open_edges if t not in e]
+                yield from search(chosen | {t}, kept, blocked, rest)
             blocked = blocked | {t}
 
     critical = [[e for e in order if e & start == {u}] for u in start]
     if not all(critical):
-        return found
+        return
+    open_edges = [e for e in order if not e & start]
     try:
-        search(start, critical, frozenset(), [e for e in order if not e & start])
+        yield from search(start, critical, frozenset(), open_edges)
     except RecursionError:
         limit = sys.getrecursionlimit()
         raise BudgetExceededError(
             f"repair search over {len(edges)} violation edges needs more "
             f"nested steps than the recursion limit ({limit}) allows"
         ) from None
-    return found
 
 
 def _minimal_edges(edges: Iterable[frozenset[int]]) -> list[frozenset[int]]:
@@ -252,26 +247,31 @@ def _components(edges: Sequence[frozenset[int]]) -> list[list[frozenset[int]]]:
     return out
 
 
-def _fewest(components: Iterable[Sequence[frozenset[int]]]) -> int:
-    """The size of a smallest hitting set of edges split into connected
-    components: the sum of the sizes that a branch-and-bound search finds
-    per component."""
-    return sum(
-        len(_minimal_hitting_sets(component, shrink=True)[-1])
-        for component in components
-    )
+def _fewest(edges: Iterable[frozenset[int]]) -> int:
+    """The size of a smallest hitting set of a family of nonempty edges.
+
+    Its minimal edges split into connected components, and the sizes add
+    up. Per component, the bound `most` counts up from the disjoint-edge
+    lower bound until the listing search finds a set under it (iterative
+    deepening), so the first bound that succeeds is the smallest size.
+    """
+    total = 0
+    for component in _components(_minimal_edges(edges)):
+        most = _disjoint_count(component)
+        while next(_minimal_hitting_sets(component, most=most), None) is None:
+            most += 1
+        total += most
+    return total
 
 
 class Hypergraph:
     """The violation hypergraph of one instance under one constraint set.
 
     `minimal` holds the inclusion-minimal endogenous parts of the violation
-    edges, and `components` the same edges grouped by shared tuples; both in
-    canonical order, by sorted tids. The S-repairs delete exactly the
-    minimal hitting sets of all edges, which are those of `minimal`, so
-    every search reads the minimal edges alone. Such a set is one minimal
-    hitting set per component, so a C-repair deletes a smallest one per
-    component, as does a smallest one holding t in each component but t's.
+    edges, in canonical order, by sorted tids. The S-repairs delete exactly
+    the minimal hitting sets of all edges, which are those of `minimal`, so
+    every search reads the minimal edges alone, and every size comes from
+    `_fewest` over them.
     """
 
     def __init__(self, inst: Instance, ground: Iterable[ViolationEdge]):
@@ -286,7 +286,6 @@ class Hypergraph:
                 )
             edges.add(candidates)
         self.minimal = _minimal_edges(edges)
-        self.components = _components(self.minimal)
 
     @classmethod
     def of(cls, inst: Instance, cs: ConstraintSet) -> "Hypergraph":
@@ -294,12 +293,12 @@ class Hypergraph:
 
     def minimum_size(self) -> int:
         """The deletion count of every C-repair."""
-        return _fewest(self.components)
+        return _fewest(self.minimal)
 
     def minimum_hitting_sets(self) -> list[frozenset[int]]:
         """The deletion sets of the C-repairs, by a search over the whole
         hypergraph cut at the minimum size."""
-        return _minimal_hitting_sets(self.minimal, most=self.minimum_size())
+        return list(_minimal_hitting_sets(self.minimal, most=self.minimum_size()))
 
     def transversals_with(self, t: int) -> list[frozenset[int]]:
         """The S-repair deletion sets that hold t, sorted by (size, tids).
@@ -312,20 +311,11 @@ class Hypergraph:
         does.
 
         Such a set is t, a minimal edge e that it meets in t alone, and a
-        smallest hitting set of the other edges that avoids e: of the parts
-        f - e of the edges f of t's component without t, and of every other
-        component whole, a sum that does not depend on e.
+        smallest hitting set of the parts f - e of the edges f without t.
         """
-        for own in self.components:
-            if any(t in e for e in own):
-                rest = [f for f in own if t not in f]
-                least = min(
-                    _fewest(_components(_minimal_edges(f - e for f in rest)))
-                    for e in own
-                    if t in e
-                )
-                return 1 + least + _fewest(c for c in self.components if c is not own)
-        return 0
+        rest = [f for f in self.minimal if t not in f]
+        own = [e for e in self.minimal if t in e]
+        return min((1 + _fewest(f - e for f in rest) for e in own), default=0)
 
 
 def _repairs(inst: Instance, deleted: Iterable[frozenset[int]]) -> list[Repair]:

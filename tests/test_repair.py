@@ -27,6 +27,7 @@ from whydb.repair import (
     CONSISTENT_NOT_MAXIMAL,
     INCONSISTENT,
     S_REPAIR,
+    _fewest,
     _minimal_hitting_sets,
 )
 
@@ -46,7 +47,7 @@ def test_minimal_hitting_sets_basic():
 
 
 def test_minimal_hitting_sets_no_edges():
-    assert _minimal_hitting_sets([]) == [frozenset()]
+    assert list(_minimal_hitting_sets([])) == [frozenset()]
 
 
 def _brute_transversals(edges, n):
@@ -73,31 +74,59 @@ def _families(draw):
 @settings(max_examples=200, deadline=None)
 @given(_families())
 def test_minimal_hitting_sets_match_brute_force(family):
-    """Every mode against the definition, on families with repeated and
-    non-minimal edges: each set exactly once, and none that is not minimal."""
+    """The search with and without a start or a cut, and the smallest size,
+    against the definition, on families with repeated and non-minimal edges:
+    each set exactly once, and none that is not minimal."""
     n, edges, start, most = family
     expected = _brute_transversals(edges, n)
 
-    found = _minimal_hitting_sets(edges)
+    found = list(_minimal_hitting_sets(edges))
     assert len(found) == len(set(found)) and set(found) == expected
 
-    found = _minimal_hitting_sets(edges, start=start)
+    found = list(_minimal_hitting_sets(edges, start=start))
     assert len(found) == len(set(found))
     assert set(found) == {h for h in expected if start <= h}
 
-    found = _minimal_hitting_sets(edges, most=most)
+    found = list(_minimal_hitting_sets(edges, most=most))
     assert len(found) == len(set(found))
     assert set(found) == {h for h in expected if len(h) <= most}
 
-    found = _minimal_hitting_sets(edges, shrink=True)
-    assert len(found) == len(set(found)) and set(found) <= expected
-    assert len(found[-1]) == min(map(len, expected))
+    assert _fewest(edges) == min(map(len, expected))
+
+
+def _pairs(*tids):
+    return [frozenset({a, b}) for a in tids for b in tids if a < b]
+
+
+def _cycle(n):
+    return [frozenset({i, i % n + 1}) for i in range(1, n + 1)]
+
+
+@pytest.mark.parametrize(
+    "edges, size",
+    [
+        pytest.param(_cycle(3), 2, id="triangle"),
+        pytest.param(_cycle(5), 3, id="5-cycle"),
+        pytest.param(_pairs(1, 2, 3, 4), 3, id="all-pairs-of-4"),
+    ],
+)
+def test_fewest_deepens_past_the_disjoint_bound(edges, size):
+    """Families whose disjoint-edge bound is below the smallest size, so the
+    cut must be raised at least once before a set is found."""
+    assert _fewest(edges) == size
+
+
+def test_fewest_on_a_long_path():
+    """A path of 400 edges: one component whose smallest hitting set takes
+    every other of its 401 tids."""
+    edges = [frozenset({i, i + 1}) for i in range(1, 401)]
+    assert _fewest(edges) == 200
 
 
 def test_minimal_hitting_sets_too_deep_is_a_budget_error():
     edges = [frozenset({2 * i + 1, 2 * i + 2}) for i in range(1100)]
     with pytest.raises(BudgetExceededError, match="1100 violation edges"):
-        _minimal_hitting_sets(edges)
+        list(_minimal_hitting_sets(edges))
 
 
 def test_s_repairs_running_example(dstar, kq):
