@@ -228,10 +228,7 @@ def _cause_keys(reports) -> list:
 
 def _cmd_oracle_check(args, inst):
     hard = tuple(_hard(args))
-    try:
-        guard = min(GUARD, int(os.environ.get("WHYDB_ORACLE_GUARD", GUARD)))
-    except ValueError:
-        guard = GUARD
+    guard = min(GUARD, int(os.environ.get("WHYDB_ORACLE_GUARD", GUARD)))
     checks = []  # (name, the main path's result, the oracle's result)
     constraint_sets = [_constraints(args, inst)] if args.constraints else []
     q = _query(args) if _has_query(args) else None
@@ -344,8 +341,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _check_sources(args) -> None:
-    """Usage errors in the query and constraint arguments, found before any
-    file is read."""
+    """Usage errors in the query and constraint arguments and in the oracle
+    guard's variable, found before any file is read."""
     if args.command == "emit-asp":
         if _has_query(args) == bool(args.constraints):
             raise _UsageError(
@@ -356,6 +353,11 @@ def _check_sources(args) -> None:
             raise _UsageError("--hard applies to causality programs only")
     if args.command == "oracle-check" and not (args.constraints or _has_query(args)):
         raise _UsageError("oracle-check needs a query or --constraints")
+    guard = os.environ.get("WHYDB_ORACLE_GUARD", "0")
+    if args.command == "oracle-check" and not (guard.isascii() and guard.isdigit()):
+        raise _UsageError(
+            f"WHYDB_ORACLE_GUARD must be a non-negative integer, not {guard!r}"
+        )
 
 
 def main(argv: Sequence[str] | None = None) -> int:

@@ -129,6 +129,11 @@ def _cases() -> dict[str, tuple[list[str], dict[str, str]]]:
     add("error/oracle-check-no-input", "oracle-check", *db)
     guard = {"WHYDB_ORACLE_GUARD": "2"}
     add("error/oracle-check-guard", "oracle-check", *db, *query, env=guard)
+    for name, value in (("malformed", "abc"), ("negative", "-1")):
+        add(
+            f"error/oracle-check-guard-{name}", "oracle-check", *db, *query,
+            env={"WHYDB_ORACLE_GUARD": value},
+        )
     add(
         "error/oracle-check-hard-position", "oracle-check", "--db", "{dir}/one.facts",
         "--constraints", "{dir}/pair.dc", "--hard", "{dir}/wide.ref",
