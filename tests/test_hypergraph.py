@@ -138,12 +138,21 @@ def test_hypergraph_answers_match_enumeration(case):
 CHAIN_QUERY = parse_query("q :- S(x), R(x,y), S(y).")
 
 
+def _fact_text(fact):
+    predicate, args = fact
+    return f"{predicate}({','.join(args)})"
+
+
+def _chain_instance(facts):
+    return load_instance("".join(f"{_fact_text(fact)}.\n" for fact in facts))
+
+
 @pytest.mark.parametrize("order", ["drawn", "sorted"])
 def test_chain_60_responsibility_matches_exhaustive_search(order):
     facts = chain_causes.chain_facts(60, random.Random(1))
     if order == "sorted":
-        facts.sort(key=lambda fact: f"{fact[0]}({','.join(fact[1])})")
-    inst = load_instance("".join(f"{p}({','.join(args)}).\n" for p, args in facts))
+        facts.sort(key=_fact_text)
+    inst = _chain_instance(facts)
     witnesses = hypergraph.minimal_sets(chain_causes.chain_witnesses(facts))
     expected = {}
     for t in sorted(inst.tids):
@@ -154,3 +163,19 @@ def test_chain_60_responsibility_matches_exhaustive_search(order):
     assert most_responsible_causes(inst, CHAIN_QUERY) == sorted(
         t for t, rho in expected.items() if rho == top
     )
+
+
+def test_chain_120_answers_do_not_depend_on_fact_order():
+    """chain-120 is past every exhaustive check here, so its answers are
+    checked against themselves: drawn and sorted fact order give each fact
+    the same responsibility and name the same most responsible facts."""
+    drawn = chain_causes.chain_facts(120, random.Random(1))
+    answers = []
+    for facts in (drawn, sorted(drawn, key=_fact_text)):
+        inst = _chain_instance(facts)
+        text = {t: inst.fact(t).atom_text() for t in inst.tids}
+        rho = {text[t]: responsibility(inst, CHAIN_QUERY, t) for t in inst.tids}
+        top = sorted(text[t] for t in most_responsible_causes(inst, CHAIN_QUERY))
+        answers.append((rho, top))
+    assert answers[0] == answers[1]
+    assert answers[0][1]
