@@ -351,13 +351,14 @@ def _check_sources(args) -> None:
             )
         if args.constraints and args.hard:
             raise _UsageError("--hard applies to causality programs only")
-    if args.command == "oracle-check" and not (args.constraints or _has_query(args)):
-        raise _UsageError("oracle-check needs a query or --constraints")
-    guard = os.environ.get("WHYDB_ORACLE_GUARD", "0")
-    if args.command == "oracle-check" and not (guard.isascii() and guard.isdigit()):
-        raise _UsageError(
-            f"WHYDB_ORACLE_GUARD must be a non-negative integer, not {guard!r}"
-        )
+    if args.command == "oracle-check":
+        if not (args.constraints or _has_query(args)):
+            raise _UsageError("oracle-check needs a query or --constraints")
+        guard = os.environ.get("WHYDB_ORACLE_GUARD", str(GUARD))
+        if not (guard.isascii() and guard.isdigit()):
+            raise _UsageError(
+                f"WHYDB_ORACLE_GUARD must be a non-negative integer, not {guard!r}"
+            )
 
 
 def main(argv: Sequence[str] | None = None) -> int:
