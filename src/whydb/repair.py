@@ -271,7 +271,7 @@ class Hypergraph:
     edges, in canonical order, by sorted tids. The S-repairs delete exactly
     the minimal hitting sets of all edges, which are those of `minimal`, so
     every search reads the minimal edges alone, and every size comes from
-    `_fewest` over them.
+    `_fewest` over them or over their parts.
     """
 
     def __init__(self, inst: Instance, ground: Iterable[ViolationEdge]):
