@@ -1,9 +1,14 @@
 import json
+import os
 import re
+import subprocess
+import sys
 from collections import Counter
+from pathlib import Path
 
 import pytest
 
+import whydb
 from whydb import (
     Fact,
     actual_causes,
@@ -42,6 +47,25 @@ def run(capsys, argv):
     code = main(argv)
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+SRC = Path(whydb.__file__).resolve().parent.parent
+
+
+def _whydb_process(argv, **popen):
+    """`python -m whydb argv` in a fresh process, help wrapped at 80 columns."""
+    path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path, COLUMNS="80")
+    env.pop("WHYDB_ORACLE_GUARD", None)
+    return subprocess.Popen(
+        [sys.executable, "-m", "whydb", *argv], env=env, text=True, **popen
+    )
+
+
+def run_alone(argv):
+    with _whydb_process(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE) as proc:
+        out, err = proc.communicate(timeout=60)
+    return proc.returncode, out, err
 
 
 def test_causes_text(files, capsys):
@@ -545,3 +569,34 @@ def test_version_flag(capsys):
     out = capsys.readouterr().out
     assert code == 0
     assert out.startswith("whydb ")
+
+
+def test_main_can_be_called_again_in_one_process(files, capsys, monkeypatch):
+    # each argv gives the same result after any other, in one process, as
+    # in a process of its own: no call leaves state behind for the next
+    monkeypatch.setenv("COLUMNS", "80")
+    monkeypatch.delenv("WHYDB_ORACLE_GUARD", raising=False)
+    db = ["--db", files["dstar.facts"]]
+    kq = ["--constraints", files["kq.dc"]]
+    query = ["-q", QSTAR_TEXT]
+    argvs = [
+        ["repairs", *db, *kq, "--kind", "c"],
+        ["repairs", *db, *kq],
+        ["emit-asp", *db, *query, "--no-cause-rules"],
+        ["emit-asp", *db, *query],
+        ["causes", *query],
+        ["--help"],
+        ["--version"],
+        ["causes", *db, *query, "--format", "json"],
+    ]
+    forward = [run(capsys, argv) for argv in argvs]
+    backward = [run(capsys, argv) for argv in reversed(argvs)][::-1]
+    alone = [run_alone(argv) for argv in argvs]
+    assert forward == backward == alone
+    (c_kind, s_kind, without, with_rules, usage, help_, version, causes) = forward
+    assert c_kind[1].startswith("c-repair 1: ") and s_kind[1].startswith("s-repair 1: ")
+    assert "% cause rules" not in without[1] and "% cause rules" in with_rules[1]
+    assert usage[0] == 2 and usage[2].startswith("usage: whydb causes")
+    assert help_[0] == 0 and help_[1].startswith("usage: whydb")
+    assert version == (0, f"whydb {whydb.__version__}\n", "")
+    assert causes[0] == 0 and json.loads(causes[1])["schema"] == 1

@@ -1,5 +1,5 @@
 """Byte-exact CLI goldens: stdout, stderr and exit code of every command in
-both formats on small fixtures, plus every `--help` text.
+both formats on small fixtures, plus every `--help` text and `--version`.
 
 The expected bytes live in golden/cli.json. Regenerate them, only when an
 output change is intended, with
@@ -141,6 +141,7 @@ def _cases() -> dict[str, tuple[list[str], dict[str, str]]]:
     add("error/usage-missing-db", "causes", *query)
     add("error/usage-unknown-command", "no-such-command")
     add("error/usage-no-command")
+    add("usage/version", "--version")
     add("help/whydb", "--help")
     for command in COMMANDS:
         add(f"help/{command}", command, "--help")
