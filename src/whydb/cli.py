@@ -3,13 +3,16 @@
 Exit status: 0 on success, 1 on domain errors (irreparable instances,
 precondition failures, oracle mismatches), 2 on usage and parse errors.
 
-Every subcommand is one row of `_COMMANDS`. `main` loads `--db` and calls
-the row's handler, which returns its output in the format asked for: the
-fields of the `{"schema": 1, ...}` JSON document, or the lines of text.
-`main` prints it and maps errors to exit codes. Handlers reach the library
-through this module's global names at call time, so a caller may rebind
-them (the benchmark's tracer does). Handlers render facts through a memo
-of their own (`_texts`), once each and only if printed.
+Every subcommand is one row of `_COMMANDS`. `main` builds its parser once
+per process, on first use, and parses every argv with it: argparse keeps
+no state between parses, so `main` may be called again and again. It
+loads `--db` and calls the row's handler, which returns its output in the
+format asked for: the fields of the `{"schema": 1, ...}` JSON document, or
+the lines of text. `main` prints it and maps errors to exit codes.
+Handlers reach the library through this module's global names at call
+time, so a caller may rebind them (the benchmark's tracer does). Handlers
+render facts through a memo of their own (`_texts`), once each and only if
+printed.
 """
 
 from __future__ import annotations
@@ -340,6 +343,11 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@cache
+def _parser() -> argparse.ArgumentParser:
+    return build_parser()
+
+
 def _check_sources(args) -> None:
     """Usage errors in the query and constraint arguments and in the oracle
     guard's variable, found before any file is read."""
@@ -362,9 +370,8 @@ def _check_sources(args) -> None:
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
     try:

@@ -18,7 +18,7 @@ from whydb import (
     parse_query,
     s_repairs,
 )
-from whydb.cli import main
+from whydb.cli import build_parser, main
 
 from conftest import D2STAR_TEXT, DSTAR_TEXT, K12_TEXT, QSTAR_TEXT
 
@@ -600,3 +600,12 @@ def test_main_can_be_called_again_in_one_process(files, capsys, monkeypatch):
     assert help_[0] == 0 and help_[1].startswith("usage: whydb")
     assert version == (0, f"whydb {whydb.__version__}\n", "")
     assert causes[0] == 0 and json.loads(causes[1])["schema"] == 1
+
+
+def test_build_parser_returns_a_new_parser(capsys):
+    # a caller may change the parser it gets without changing main's
+    parser = build_parser()
+    assert parser is not build_parser()
+    parser.prog = "changed"
+    code, out, err = run(capsys, ["no-such-command"])
+    assert (code, out) == (2, "") and err.startswith("usage: whydb [-h]")
