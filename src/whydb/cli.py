@@ -229,9 +229,20 @@ def _cause_keys(reports) -> list:
     return [(r.tid, r.responsibility, r.minimal_contingency_sets) for r in reports]
 
 
+def _oracle_guard() -> int:
+    """WHYDB_ORACLE_GUARD, the oracle's size guard; the oracle caps it at
+    GUARD itself."""
+    guard = os.environ.get("WHYDB_ORACLE_GUARD", str(GUARD))
+    if not (guard.isascii() and guard.isdigit()):
+        raise _UsageError(
+            f"WHYDB_ORACLE_GUARD must be a non-negative integer, not {guard!r}"
+        )
+    return int(guard)
+
+
 def _cmd_oracle_check(args, inst):
     hard = tuple(_hard(args))
-    guard = min(GUARD, int(os.environ.get("WHYDB_ORACLE_GUARD", GUARD)))
+    guard = _oracle_guard()
     checks = []  # (name, the main path's result, the oracle's result)
     constraint_sets = [_constraints(args, inst)] if args.constraints else []
     q = _query(args) if _has_query(args) else None
@@ -362,11 +373,7 @@ def _check_sources(args) -> None:
     if args.command == "oracle-check":
         if not (args.constraints or _has_query(args)):
             raise _UsageError("oracle-check needs a query or --constraints")
-        guard = os.environ.get("WHYDB_ORACLE_GUARD", str(GUARD))
-        if not (guard.isascii() and guard.isdigit()):
-            raise _UsageError(
-                f"WHYDB_ORACLE_GUARD must be a non-negative integer, not {guard!r}"
-            )
+        _oracle_guard()
 
 
 def main(argv: Sequence[str] | None = None) -> int:

@@ -559,6 +559,20 @@ def test_oracle_guard_env_var(files, capsys, monkeypatch):
     assert "guard" in err
 
 
+def test_oracle_guard_above_the_cap_is_the_cap(files, tmp_path, capsys, monkeypatch):
+    db = tmp_path / "nineteen.facts"
+    db.write_text("".join(f"S(a{i}). " for i in range(19)))
+    big = ["oracle-check", "--db", str(db), "-q", "q :- S(x)."]
+    small = ["oracle-check", "--db", files["dstar.facts"], "-q", QSTAR_TEXT]
+    monkeypatch.delenv("WHYDB_ORACLE_GUARD", raising=False)
+    expected = [run(capsys, big), run(capsys, small)]
+    assert expected[0] == (
+        1, "", "error: 19 endogenous tuples exceed the oracle guard of 18\n"
+    )
+    monkeypatch.setenv("WHYDB_ORACLE_GUARD", "99")
+    assert [run(capsys, big), run(capsys, small)] == expected
+
+
 def test_exit_code_usage(files, capsys):
     assert main(["causes"]) == 2
     assert main(["no-such-command"]) == 2
