@@ -1,7 +1,8 @@
 """Command-line front end. Output is byte-deterministic for fixed inputs.
 
 Exit status: 0 on success, 1 on domain errors (irreparable instances,
-precondition failures, oracle mismatches), 2 on usage and parse errors.
+precondition failures, oracle mismatches) and when stdout's reader closes
+it early, 2 on usage and parse errors.
 
 Every subcommand is one row of `_COMMANDS`. `main` builds its parser once
 per process, on first use, and parses every argv with it: argparse keeps
@@ -393,6 +394,9 @@ def main(argv: Sequence[str] | None = None) -> int:
         else:
             for line in output:
                 print(line)
+    except BrokenPipeError as exc:  # stdout's reader has gone: not a usage error
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
     except (ParseError, OSError, _UsageError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -403,7 +407,15 @@ def main(argv: Sequence[str] | None = None) -> int:
 
 
 def run() -> None:
-    sys.exit(main())
+    code = main()
+    try:
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # what is left of the output goes nowhere, so that the interpreter
+        # does not fail to flush it again at exit
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = code or 1
+    sys.exit(code)
 
 
 if __name__ == "__main__":

@@ -573,6 +573,31 @@ def test_oracle_guard_above_the_cap_is_the_cap(files, tmp_path, capsys, monkeypa
     assert [run(capsys, big), run(capsys, small)] == expected
 
 
+@pytest.mark.parametrize("buffered", [True, False])
+def test_reader_closing_early_is_exit_one(tmp_path, monkeypatch, buffered):
+    # 12,000 answer lines, about 200 KB, overfill the 64 KiB pipe buffer, so
+    # the CLI is still writing when the reader closes its end. One line,
+    # read by no one, is still in stdout's buffer at exit unless unbuffered.
+    if buffered:
+        monkeypatch.delenv("PYTHONUNBUFFERED", raising=False)
+    else:
+        monkeypatch.setenv("PYTHONUNBUFFERED", "1")
+    wide = tmp_path / "wide.facts"
+    wide.write_text("".join(f"R(a{i},b{i}).\n" for i in range(12000)))
+    one = tmp_path / "one.facts"
+    one.write_text("R(a0,b0).")
+    for db, read in ((wide, 100), (one, 0)):
+        argv = ["query", "--db", str(db), "-q", "q(x,y) :- R(x,y)."]
+        pipes = {"stdout": subprocess.PIPE, "stderr": subprocess.PIPE}
+        with _whydb_process(argv, **pipes) as proc:
+            head = proc.stdout.read(read)
+            proc.stdout.close()
+            err = proc.stderr.read()
+        assert "(a0,b0)\n".startswith(head[:8]) and len(head) == read
+        assert proc.returncode == 1, (db.name, err)
+        assert err.count("error:") <= 1 and "Exception ignored" not in err, err
+
+
 def test_exit_code_usage(files, capsys):
     assert main(["causes"]) == 2
     assert main(["no-such-command"]) == 2
