@@ -231,8 +231,8 @@ def _cause_keys(reports) -> list:
 
 
 def _oracle_guard() -> int:
-    """WHYDB_ORACLE_GUARD, the oracle's size guard; the oracle caps it at
-    GUARD itself."""
+    """The oracle's size guard from WHYDB_ORACLE_GUARD, GUARD if unset. A
+    larger value is passed on as it is: the oracle caps it at GUARD."""
     guard = os.environ.get("WHYDB_ORACLE_GUARD", str(GUARD))
     if not (guard.isascii() and guard.isdigit()):
         raise _UsageError(
