@@ -377,12 +377,18 @@ def _check_sources(args) -> None:
         _oracle_guard()
 
 
+def _report(exc: Exception) -> None:
+    """One `error:` line on stderr, or none if stderr's reader has gone too
+    (`2>&1 | head`)."""
+    try:
+        print(f"error: {exc}", file=sys.stderr)
+    except BrokenPipeError:
+        pass
+
+
 def main(argv: Sequence[str] | None = None) -> int:
     try:
         args = _parser().parse_args(argv)
-    except SystemExit as exc:
-        return exc.code if isinstance(exc.code, int) else 2
-    try:
         _check_sources(args)
         inst = load_instance(_read_file(args.db))
         try:
@@ -394,14 +400,16 @@ def main(argv: Sequence[str] | None = None) -> int:
         else:
             for line in output:
                 print(line)
-    except BrokenPipeError as exc:  # stdout's reader has gone: not a usage error
-        print(f"error: {exc}", file=sys.stderr)
+    except SystemExit as exc:  # from argparse: usage errors, --help, --version
+        return exc.code if isinstance(exc.code, int) else 2
+    except BrokenPipeError as exc:  # a reader has gone: not a usage error
+        _report(exc)
         return 1
     except (ParseError, OSError, _UsageError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        _report(exc)
         return 2
     except WhydbError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        _report(exc)
         return 1
     return code
 
@@ -410,10 +418,13 @@ def run() -> None:
     code = main()
     try:
         sys.stdout.flush()
+        sys.stderr.flush()
     except BrokenPipeError:
         # what is left of the output goes nowhere, so that the interpreter
         # does not fail to flush it again at exit
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.dup2(devnull, sys.stderr.fileno())
         code = code or 1
     sys.exit(code)
 

@@ -52,15 +52,15 @@ def run(capsys, argv):
 SRC = Path(whydb.__file__).resolve().parent.parent
 
 
-def _whydb_process(argv):
+def _whydb_process(argv, stderr=subprocess.PIPE):
     """`python -m whydb argv` in a fresh process with piped stdout and
-    stderr, help wrapped at 80 columns."""
+    stderr (or stderr as given), help wrapped at 80 columns."""
     path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
     env = dict(os.environ, PYTHONPATH=path, COLUMNS="80")
     env.pop("WHYDB_ORACLE_GUARD", None)
     return subprocess.Popen(
         [sys.executable, "-m", "whydb", *argv], env=env, text=True,
-        stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+        stdout=subprocess.PIPE, stderr=stderr,
     )
 
 
@@ -575,11 +575,14 @@ def test_oracle_guard_above_the_cap_is_the_cap(files, tmp_path, capsys, monkeypa
     assert [run(capsys, big), run(capsys, small)] == expected
 
 
+@pytest.mark.parametrize("merged", [False, True])
 @pytest.mark.parametrize("buffered", [True, False])
-def test_reader_closing_early_is_exit_one(tmp_path, monkeypatch, buffered):
+def test_reader_closing_early_is_exit_one(tmp_path, monkeypatch, buffered, merged):
     # 12,000 answer lines, about 200 KB, overfill the 64 KiB pipe buffer, so
     # the CLI is still writing when the reader closes its end. One line,
     # read by no one, is still in stdout's buffer at exit unless unbuffered.
+    # Merged, stderr shares the closed pipe (`2>&1 | head`), so not even the
+    # error line can be written.
     if buffered:
         monkeypatch.delenv("PYTHONUNBUFFERED", raising=False)
     else:
@@ -590,13 +593,27 @@ def test_reader_closing_early_is_exit_one(tmp_path, monkeypatch, buffered):
     one.write_text("R(a0,b0).")
     for db, read in ((wide, 100), (one, 0)):
         argv = ["query", "--db", str(db), "-q", "q(x,y) :- R(x,y)."]
-        with _whydb_process(argv) as proc:
+        stderr = subprocess.STDOUT if merged else subprocess.PIPE
+        with _whydb_process(argv, stderr) as proc:
             head = proc.stdout.read(read)
             proc.stdout.close()
-            err = proc.stderr.read()
+            err = "" if merged else proc.stderr.read()
         assert len(head) == read
         assert proc.returncode == 1, (db.name, err)
         assert err.count("error:") <= 1 and "Exception ignored" not in err, err
+
+
+@pytest.mark.parametrize("buffered", [True, False])
+def test_unwritable_error_keeps_its_exit_code(tmp_path, monkeypatch, buffered):
+    # `2>&1 | true`: the reader has gone before the error line is written
+    if buffered:
+        monkeypatch.delenv("PYTHONUNBUFFERED", raising=False)
+    else:
+        monkeypatch.setenv("PYTHONUNBUFFERED", "1")
+    argv = ["query", "--db", str(tmp_path / "missing.facts"), "-q", "q(x) :- R(x)."]
+    with _whydb_process(argv, subprocess.STDOUT) as proc:
+        proc.stdout.close()
+    assert proc.returncode == 2
 
 
 def test_exit_code_usage(files, capsys):
