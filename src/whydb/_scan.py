@@ -2,8 +2,9 @@
 
 The cursor is a character offset into the text. It always rests on a token
 or at the end of the text: `Scanner.advance` moves it past a consumed token
-and the layout after it, and is the only code that consumes layout. Line and
-column are worked out from an offset only when an error is reported.
+and the layout after it. A caller that matches a whole statement with its own
+pattern, ending in `LAYOUT_RE`, may set the cursor to that match's end. Line
+and column are worked out from an offset only when an error is reported.
 """
 
 from __future__ import annotations
@@ -14,9 +15,13 @@ from typing import Iterator
 from .errors import ParseError
 
 IDENTIFIER_RE = re.compile(r"[A-Za-z][A-Za-z0-9_]*")
-_INT_RE = re.compile(r"\d+")
-# Layout: whitespace, and `%` comments that run to the end of the line.
-_LAYOUT_RE = re.compile(r"(?:[ \t\r\n]+|%[^\n]*)*")
+INT_RE = re.compile(r"\d+")
+# Layout: whitespace, and `%` comments that run to the end of the line. Any
+# layout matches this in one way only (one blank per round, each comment
+# whole), so a larger pattern built on it that fails backtracks in linear
+# time. `[ \t\r\n]+` in place of `[ \t\r\n]` would split a run of n blanks
+# in 2^(n-1) ways; Python 3.10 has no possessive or atomic form to stop that.
+LAYOUT_RE = re.compile(r"(?:[ \t\r\n]|%[^\n]*(?![^\n]))*")
 
 
 class Scanner:
@@ -28,7 +33,7 @@ class Scanner:
 
     def advance(self, end: int) -> None:
         """Consume the text up to offset `end` and the layout after it."""
-        self.pos = _LAYOUT_RE.match(self.text, end).end()
+        self.pos = LAYOUT_RE.match(self.text, end).end()
 
     def statements(self) -> Iterator[int]:
         """Each statement's start offset, until the end of the text; the
@@ -38,7 +43,7 @@ class Scanner:
 
     def lookahead_after_layout(self, offset: int = 0) -> str:
         """First non-layout character at or after pos+offset, without consuming."""
-        i = _LAYOUT_RE.match(self.text, self.pos + offset).end()
+        i = LAYOUT_RE.match(self.text, self.pos + offset).end()
         return self.text[i : i + 1]
 
     def error(
@@ -72,4 +77,4 @@ class Scanner:
         return self.read(IDENTIFIER_RE, what)
 
     def read_int(self, what: str) -> int:
-        return int(self.read(_INT_RE, what))
+        return int(self.read(INT_RE, what))

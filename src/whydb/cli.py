@@ -333,8 +333,23 @@ _COMMANDS = {
 }
 
 
+class _ArgumentParser(argparse.ArgumentParser):
+    def _print_message(self, message, file=None):
+        """argparse drops a failed write (Python 3.11 and later), so `--help`
+        and `--version` into a stdout whose reader has gone would exit 0
+        when stdout is unbuffered. Only a message for stderr is dropped
+        here, as `_report` drops one; the rest reaches `main`."""
+        if message:
+            file = file or sys.stderr
+            try:
+                file.write(message)
+            except OSError:
+                if file is not sys.stderr:
+                    raise
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _ArgumentParser(
         prog="whydb",
         description="Causes, contingency sets and responsibilities for boolean "
         "conjunctive query answers, via database repairs.",

@@ -1,8 +1,10 @@
 """Database instances: ground tuples with identifiers, and the fact-file format.
 
-Fact files are UTF-8 and line oriented. `%` starts a comment. Facts look like
-``Pred(c1,...,cn).``, optionally prefixed with ``@exo`` to mark the tuple as
-exogenous, and optionally carrying an explicit identifier: ``Pred[7](a,b).``.
+Fact files are UTF-8. `%` starts a comment that runs to the end of the line.
+Facts look like ``Pred(c1,...,cn).``, optionally prefixed with ``@exo`` to
+mark the tuple as exogenous, and optionally carrying an explicit identifier:
+``Pred[7](a,b).``. Whitespace and comments may stand between any two tokens,
+so a fact may span lines and a line may hold several facts.
 Either every fact carries an explicit tid or none does; in the latter case
 tids are assigned 1, 2, 3, ... in file order.
 """
@@ -13,13 +15,28 @@ import re
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Mapping
 
-from ._scan import IDENTIFIER_RE, Scanner
+from ._scan import IDENTIFIER_RE, INT_RE, LAYOUT_RE, Scanner
 from .errors import UnknownTidError
 
 # Constants are opaque symbols; they may not contain separators the fact
 # grammar needs (commas, parentheses, whitespace) nor the comment character.
 CONSTANT_STOP = ",() \t\r\n%"
 CONSTANT_RE = re.compile(f"[^{re.escape(CONSTANT_STOP)}]+")
+
+
+_L = LAYOUT_RE.pattern
+_C = CONSTANT_RE.pattern
+# One whole fact statement and the layout after it: `@exo`, predicate,
+# `[tid]`, arguments. It accepts the statements `_read_fact` accepts, and ends
+# at the same offset, and tids below 1, which `load_instance` then rejects;
+# `_read_fact` still reads the statements it rejects, for their errors.
+_FACT_RE = re.compile(
+    rf"(@exo{_L})?({IDENTIFIER_RE.pattern}){_L}(?:\[{_L}({INT_RE.pattern}){_L}\]{_L})?"
+    rf"\({_L}({_C}{_L}(?:,{_L}{_C}{_L})*)\){_L}\.{_L}"
+)
+_COMMENT_RE = re.compile(r"%[^\n]*")
+
+_Statement = tuple[bool, str, int | None, tuple[str, ...]]
 
 
 def is_constant(symbol: str) -> bool:
@@ -175,6 +192,40 @@ def tuple_by_tid(inst: Instance, tid: int) -> Fact:
     return inst.fact(tid)
 
 
+def _fact_of(m: re.Match) -> _Statement:
+    """(exogenous, predicate, tid, args) of a `_FACT_RE` match."""
+    exogenous, predicate, tid, args = m.groups()
+    if "%" in args:
+        args = _COMMENT_RE.sub("", args)
+    return (
+        exogenous is not None,
+        predicate,
+        None if tid is None else int(tid),
+        tuple(CONSTANT_RE.findall(args)),
+    )
+
+
+def _read_fact(sc: Scanner) -> _Statement:
+    """Read the fact statement at the cursor token by token, raising a
+    ParseError at the first token that does not fit."""
+    start = sc.pos
+    exogenous = sc.try_token("@exo")
+    predicate = sc.read_identifier("predicate name")
+    tid = None
+    if sc.try_token("["):
+        tid = sc.read_int("tuple identifier")
+        if tid < 1:
+            raise sc.error("tids must be positive", at=start)
+        sc.expect("]")
+    sc.expect("(")
+    args = [sc.read(CONSTANT_RE, "a constant")]
+    while sc.try_token(","):
+        args.append(sc.read(CONSTANT_RE, "a constant"))
+    sc.expect(")")
+    sc.expect(".")
+    return (exogenous, predicate, tid, tuple(args))
+
+
 def load_instance(text: str) -> Instance:
     """Parse a fact file into an Instance.
 
@@ -183,24 +234,18 @@ def load_instance(text: str) -> Instance:
     mix explicit-tid facts with implicit ones.
     """
     sc = Scanner(text)
-    facts: list[tuple[bool, str, int | None, tuple[str, ...]]] = []
+    facts: list[_Statement] = []
     starts: list[int] = []
     for start in sc.statements():
-        exogenous = sc.try_token("@exo")
-        predicate = sc.read_identifier("predicate name")
-        tid = None
-        if sc.try_token("["):
-            tid = sc.read_int("tuple identifier")
-            if tid < 1:
-                raise sc.error("tids must be positive", at=start)
-            sc.expect("]")
-        sc.expect("(")
-        args = [sc.read(CONSTANT_RE, "a constant")]
-        while sc.try_token(","):
-            args.append(sc.read(CONSTANT_RE, "a constant"))
-        sc.expect(")")
-        sc.expect(".")
-        facts.append((exogenous, predicate, tid, tuple(args)))
+        m = _FACT_RE.match(text, start)
+        if m is None:
+            _read_fact(sc)
+            raise AssertionError(f"_FACT_RE rejects the fact at offset {start}")
+        fact = _fact_of(m)
+        if fact[2] is not None and fact[2] < 1:
+            raise sc.error("tids must be positive", at=start)
+        sc.pos = m.end()
+        facts.append(fact)
         starts.append(start)
 
     implicit = [i for i, fact in enumerate(facts) if fact[2] is None]

@@ -603,14 +603,34 @@ def test_reader_closing_early_is_exit_one(tmp_path, monkeypatch, buffered, merge
         assert err.count("error:") <= 1 and "Exception ignored" not in err, err
 
 
+@pytest.mark.parametrize("argv", [["--help"], ["--version"], ["causes", "--help"]])
 @pytest.mark.parametrize("buffered", [True, False])
-def test_unwritable_error_keeps_its_exit_code(tmp_path, monkeypatch, buffered):
-    # `2>&1 | true`: the reader has gone before the error line is written
+def test_help_into_a_closed_reader_is_exit_one(monkeypatch, buffered, argv):
+    # `whydb --help | true`: argparse's own write to stdout fails, and
+    # unbuffered there is nothing left for the final flush to find
+    if buffered:
+        monkeypatch.delenv("PYTHONUNBUFFERED", raising=False)
+    else:
+        monkeypatch.setenv("PYTHONUNBUFFERED", "1")
+    with _whydb_process(argv) as proc:
+        proc.stdout.close()
+        err = proc.stderr.read()
+    assert proc.returncode == 1, err
+    assert err.count("error:") <= 1 and "Exception ignored" not in err, err
+
+
+@pytest.mark.parametrize("usage", [False, True])
+@pytest.mark.parametrize("buffered", [True, False])
+def test_unwritable_error_keeps_its_exit_code(tmp_path, monkeypatch, buffered, usage):
+    # `2>&1 | true`: the reader has gone before the error line is written,
+    # by whydb or, for a usage error, by argparse
     if buffered:
         monkeypatch.delenv("PYTHONUNBUFFERED", raising=False)
     else:
         monkeypatch.setenv("PYTHONUNBUFFERED", "1")
     argv = ["query", "--db", str(tmp_path / "missing.facts"), "-q", "q(x) :- R(x)."]
+    if usage:
+        argv = ["causes", "--db", str(tmp_path / "missing.facts")]
     with _whydb_process(argv, subprocess.STDOUT) as proc:
         proc.stdout.close()
     assert proc.returncode == 2

@@ -1,5 +1,7 @@
+import time
+
 import pytest
-from hypothesis import given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from whydb import (
@@ -11,6 +13,8 @@ from whydb import (
     load_instance,
     tuple_by_tid,
 )
+from whydb._scan import Scanner
+from whydb.core import _FACT_RE, _fact_of, _read_fact
 
 from conftest import DSTAR_TEXT
 
@@ -115,6 +119,86 @@ def test_bad_syntax():
     for text in ["P(a)", "P().", "1P(a).", "P(a,).", "@exo", "P[0](a)."]:
         with pytest.raises(ParseError):
             load_instance(text)
+
+
+# Layout that may stand between any two tokens; a comment may hold tokens.
+_LAYOUTS = ["", " ", "\t", "\r\n", "\n\n", "% note\n", "%%,).\n", " %[1](a).\n\t"]
+_CONSTANTS = ["a", "b4", "a.b", "x.", ".", "@", "@exo", '"q"', '"a b"', "é"]
+# tids: "٣" is ARABIC-INDIC DIGIT THREE, "１２" FULLWIDTH DIGITs
+_TIDS = ["1", "7", "0", "007", "00", "٣", "１２"]
+
+
+@st.composite
+def fact_statements(draw):
+    """A fact statement, valid or nearly so, between layout, and some text
+    after it."""
+    tokens = ["@exo"] if draw(st.booleans()) else []
+    tokens.append(draw(st.sampled_from(["P", "R2", "a_b", "1P", "_x"])))
+    if draw(st.booleans()):
+        tokens += ["[", draw(st.sampled_from(_TIDS)), "]"]
+    tokens.append("(")
+    for i, arg in enumerate(draw(st.lists(st.sampled_from(_CONSTANTS), min_size=1, max_size=4))):
+        tokens += [","] * (i > 0) + [arg]
+    tokens += [")", "."]
+    at = draw(st.integers(0, len(tokens) - 1))
+    mutation = draw(st.sampled_from(["none", "none", "drop", "repeat"]))
+    if mutation == "drop":
+        del tokens[at]
+    elif mutation == "repeat":
+        tokens.insert(at, tokens[at])
+    layouts = draw(st.lists(st.sampled_from(_LAYOUTS), min_size=len(tokens) + 1,
+                            max_size=len(tokens) + 1))
+    rest = draw(st.sampled_from(["", "Q(b).", "x", ".", "%end"]))
+    return "".join(lay + tok for lay, tok in zip(layouts, tokens)) + layouts[-1] + rest
+
+
+@settings(deadline=None, max_examples=500)
+@given(fact_statements())
+@example("P(a,).")
+@example("P[1(a).")
+@example("P(a)")
+@example("P(a) Q(b).")
+@example("@exo")
+@example("@exo %c\n")
+@example("@exoP(a).")
+@example("P[0](a).")
+@example("P[0(a).")
+@example("P(a %,b).\n")
+def test_fact_pattern_agrees_with_token_reader(text):
+    # `load_instance` reads every statement with `_FACT_RE` and leaves only
+    # the ones it rejects to `_read_fact`: the two must accept the same
+    # statements, read them alike and end at the same offset
+    sc = Scanner(text)
+    m = _FACT_RE.match(text, sc.pos)
+    by_pattern = None if m is None else _fact_of(m)
+    if by_pattern is not None and by_pattern[2] is not None and by_pattern[2] < 1:
+        by_pattern = None  # load_instance rejects it: "tids must be positive"
+    try:
+        by_tokens = _read_fact(sc)
+    except ParseError:
+        by_tokens = None
+    assert by_pattern == by_tokens
+    if by_tokens is not None:
+        assert m.end() == sc.pos
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "P(a" + " " * 100_000 + "x).",
+        "P(a " + "%" * 100_000,
+        "P(" + ",".join(f"a{i}" for i in range(50_000)) + ".",
+    ],
+    ids=["blanks", "comment", "arguments"],
+)
+def test_long_malformed_statement_fails_in_linear_time(text):
+    # a statement pattern that could match its layout in more than one way
+    # would backtrack exponentially before handing over to the token reader
+    start = time.perf_counter()
+    with pytest.raises(ParseError) as exc:
+        load_instance(text)
+    assert time.perf_counter() - start < 1.0
+    assert str(exc.value).startswith("expected ")
 
 
 def test_round_trip_running_example():
