@@ -9,22 +9,25 @@ per process, on first use, and parses every argv with it: argparse keeps
 no state between parses, so `main` may be called again and again. It
 loads `--db` and calls the row's handler, which returns its output in the
 format asked for: the fields of the `{"schema": 1, ...}` JSON document, or
-the lines of text. `main` prints it and maps errors to exit codes.
-Handlers reach the library through this module's global names at call
-time, so a caller may rebind them (the benchmark's tracer does). Handlers
-render facts through a memo of their own (`_texts`), once each and only if
-printed.
+the lines of text. `main` prints it and maps errors to exit codes. It
+writes a JSON document in pieces (`_json_pieces`), not as one string, and
+the bytes are those of `json.dumps(doc, indent=2)`; the handler has built
+the whole document before the first piece, so an error prints nothing on
+stdout. Handlers reach the library through this module's global names at
+call time, so a caller may rebind them (the benchmark's tracer does).
+Handlers render each fact once and only if printed: through a memo of their
+own (`_texts`), or, in `repairs`, which prints every fact, all at once.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 from functools import cache
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
-from typing import Callable, Sequence
+from typing import Callable, Iterator, Sequence
 
 from ._version import __version__
 from .asp import AspDialect, CausalityOptions, emit_causality_program, emit_repair_program
@@ -95,25 +98,34 @@ def _rho_json(value):
     return {"num": value.numerator, "den": value.denominator}
 
 
+def _split(rendered: list[str], index: dict[int, int], deleted) -> tuple[list, list]:
+    """The rendered facts that `deleted` holds and those it does not, each in
+    tid order: `rendered` is every fact's text in tid order, and `index`
+    maps a tid to its place there."""
+    at = [index[tid] for tid in sorted(deleted)]
+    kept = rendered.copy()
+    for i in reversed(at):
+        del kept[i]
+    return [rendered[i] for i in at], kept
+
+
 def _cmd_repairs(args, inst):
     cs = _constraints(args, inst)
     reps = (c_repairs if args.kind == "c" else s_repairs)(inst, cs, _hard(args))
-    text = _texts(inst)
+    # Each repair prints every fact, deleted or retained (its retained set is
+    # the instance less its deleted set), so all are rendered once, up front.
+    rendered = [f.render() for f in inst.facts] if reps else []
+    index = {f.tid: i for i, f in enumerate(inst.facts)}
+    split = (_split(rendered, index, r.deleted) for r in reps)
     if args.format == "json":
         return {
             "kind": args.kind,
-            "repairs": [
-                {
-                    "deleted": _facts(text, r.deleted),
-                    "retained": _facts(text, r.retained),
-                }
-                for r in reps
-            ],
+            "repairs": [{"deleted": cut, "retained": kept} for cut, kept in split],
         }
     return (
-        f"{args.kind}-repair {i}: deleted {_fact_set(text, r.deleted)} "
-        f"retained {_fact_set(text, r.retained)}"
-        for i, r in enumerate(reps, start=1)
+        f"{args.kind}-repair {i}: deleted {{{', '.join(cut)}}} "
+        f"retained {{{', '.join(kept)}}}"
+        for i, (cut, kept) in enumerate(split, start=1)
     )
 
 
@@ -392,6 +404,70 @@ def _check_sources(args) -> None:
         _oracle_guard()
 
 
+class _Encoded(dict):
+    """Each string's JSON text, as `json.dumps` writes it (ASCII only),
+    encoded once: `memo[s]`. A key that is not a string raises TypeError."""
+
+    def __missing__(self, s):
+        text = self[s] = encode_basestring_ascii(s)
+        return text
+
+
+def _flat(value, memo: _Encoded, newline: str) -> str | None:
+    """The JSON text of a scalar or of a list of strings, as one piece;
+    None for a non-empty dict or a list holding another kind of item."""
+    if isinstance(value, str):
+        return memo[value]
+    if isinstance(value, list):
+        if not value:
+            return "[]"
+        inner = newline + "  "
+        try:  # a list of strings, with no test per item
+            items = ("," + inner).join(map(memo.__getitem__, value))
+        except TypeError:  # an item is not a string
+            return None
+        return "[" + inner + items + newline + "]"
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    if isinstance(value, dict):
+        return None if value else "{}"
+    raise TypeError(f"{type(value).__name__} is not a JSON value here")
+
+
+def _json_pieces(value, memo: _Encoded, newline: str = "\n") -> Iterator[str]:
+    """The text of `json.dumps(value, indent=2)` in pieces, for the values
+    that handlers return: str, int, bool, None, and lists and dicts of them
+    with str keys. Any other value, a dict key that is not a str included,
+    raises TypeError. `newline` is the line break and indent before the
+    value's closing bracket. Each scalar or list of strings is in one piece
+    with the punctuation before it."""
+    text = _flat(value, memo, newline)
+    if text is not None:
+        yield text
+        return
+    inner = newline + "  "
+    if isinstance(value, list):
+        sep, items, close = "[" + inner, (("", item) for item in value), "]"
+    else:  # memo[key] raises TypeError for a key that is not a str
+        sep, items = "{" + inner, ((memo[k] + ": ", v) for k, v in value.items())
+        close = "}"
+    for key, item in items:
+        text = _flat(item, memo, inner)
+        if text is None:
+            yield sep + key
+            yield from _json_pieces(item, memo, inner)
+        else:
+            yield sep + key + text
+        sep = "," + inner
+    yield newline + close
+
+
 def _report(exc: Exception) -> None:
     """One `error:` line on stderr, or none if stderr's reader has gone too
     (`2>&1 | head`)."""
@@ -411,7 +487,10 @@ def main(argv: Sequence[str] | None = None) -> int:
         except _Mismatch as exc:
             output, code = exc.output, 1
         if args.format == "json":
-            print(json.dumps({"schema": 1, **output}, indent=2))
+            write = sys.stdout.write
+            for piece in _json_pieces({"schema": 1, **output}, _Encoded()):
+                write(piece)
+            write("\n")
         else:
             for line in output:
                 print(line)
