@@ -1,12 +1,17 @@
+import gc
 import json
 import os
 import re
 import subprocess
 import sys
+import tracemalloc
 from collections import Counter
+from contextlib import redirect_stdout
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import whydb
 from whydb import (
@@ -18,7 +23,8 @@ from whydb import (
     parse_query,
     s_repairs,
 )
-from whydb.cli import build_parser, main
+from whydb import cli
+from whydb.cli import _Encoded, _json_pieces, build_parser, main
 
 from conftest import D2STAR_TEXT, DSTAR_TEXT, K12_TEXT, QSTAR_TEXT
 
@@ -315,6 +321,127 @@ def test_each_printed_fact_is_rendered_once(gappy, capsys, monkeypatch):
             assert set(renders) <= printed, (command, fmt, renders, printed)
 
 
+# Strings holding what JSON escapes: quotes, backslashes and control
+# characters, and under ensure_ascii also non-ASCII, astral characters (as
+# surrogate pairs) and lone surrogates.
+_JSON_STRINGS = st.text(
+    st.one_of(
+        st.characters(),
+        st.characters(categories=("Cs",)),
+        st.sampled_from('"\\/\x00\x1f\x7f\n\t\u00e9\u2028\U0001f600\ud800\udfff'),
+    ),
+    max_size=6,
+)
+_JSON_VALUES = st.recursive(
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.sampled_from([0, -1, 10**40, -(10**40)])
+    | _JSON_STRINGS,
+    lambda inner: st.lists(inner, max_size=4)
+    | st.lists(_JSON_STRINGS, max_size=4)
+    | st.dictionaries(_JSON_STRINGS, inner, max_size=4),
+    max_leaves=24,
+)
+
+
+def _json_text(value) -> str:
+    return "".join(_json_pieces(value, _Encoded()))
+
+
+@settings(deadline=None, max_examples=300)
+@given(_JSON_VALUES)
+def test_json_pieces_are_json_dumps(value):
+    assert _json_text(value) == json.dumps(value, indent=2)
+
+
+@pytest.mark.parametrize(
+    "value",
+    [1.5, ["a", 1.5], (1,), ["a", ("b",)], {1: "a"}, {"a": [{("b",): 1}]}, b"a"],
+)
+def test_json_pieces_reject_what_handlers_never_return(value):
+    with pytest.raises(TypeError):
+        _json_text(value)
+
+
+def test_json_pieces_encode_each_string_once(monkeypatch):
+    calls = Counter()
+    encode = cli.encode_basestring_ascii
+
+    def counted(text):
+        calls[text] += 1
+        return encode(text)
+
+    monkeypatch.setattr(cli, "encode_basestring_ascii", counted)
+    doc = {"a": ["x", "y"], "b": [{"a": "x"}, ["y", "x"], "b"], "x": "a"}
+    assert _json_text(doc) == json.dumps(doc, indent=2)
+    assert calls == Counter({"a": 1, "b": 1, "x": 1, "y": 1})
+
+
+def test_golden_json_documents_are_json_dumps():
+    golden = json.loads(
+        (Path(__file__).parent / "golden" / "cli.json").read_text(encoding="utf-8")
+    )
+    outs = [
+        case["stdout"]
+        for name, case in golden.items()
+        if name.endswith(".json") and case["stdout"]
+    ]
+    assert len(outs) >= 60
+    for out in outs:
+        assert out == json.dumps(json.loads(out), indent=2) + "\n"
+
+
+def _fd_pairs(tmp_path, pairs: int, clean: int) -> tuple[str, str]:
+    """Fact and FD files: `pairs` keys with two values under `fd T: 1 -> 2.`,
+    so 2**pairs S-repairs, and `clean` keys with one."""
+    db = tmp_path / "pairs.facts"
+    db.write_text(
+        "".join(f"T(k{i},a{i}). T(k{i},b{i}).\n" for i in range(pairs))
+        + "".join(f"T(c{i},v).\n" for i in range(clean))
+    )
+    fds = tmp_path / "fd.dc"
+    fds.write_text("fd T: 1 -> 2.")
+    return str(db), str(fds)
+
+
+class _CountingSink:
+    """Stands in for stdout: counts the characters written, keeps none."""
+
+    def __init__(self):
+        self.chars = 0
+
+    def write(self, text: str) -> int:
+        self.chars += len(text)
+        return len(text)
+
+    def flush(self) -> None:
+        pass
+
+
+def test_json_output_is_streamed(tmp_path):
+    # 512 S-repairs of 109 facts: the JSON document, about 1.4 MB, is not
+    # held whole, so its peak memory is near the text form's, whose lines
+    # are printed one by one
+    db, fds = _fd_pairs(tmp_path, 9, 100)
+    peaks, chars = {}, {}
+    for fmt in ("text", "json"):
+        argv = ["repairs", "--db", db, "--constraints", fds, "--format", fmt]
+        with redirect_stdout(_CountingSink()):
+            assert main(argv) == 0  # imports and the parser, before tracing
+        sink = _CountingSink()
+        with redirect_stdout(sink):
+            tracemalloc.start()
+            try:
+                assert main(argv) == 0
+                peaks[fmt] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        chars[fmt] = sink.chars
+    assert chars["json"] > 1_000_000 and chars["text"] > 500_000, chars
+    assert peaks["json"] <= 1.5 * peaks["text"], peaks
+
+
 def test_query_command(files, capsys):
     code, out, _ = run(capsys, ["query", "--db", files["dstar.facts"], "-q", QSTAR_TEXT])
     assert code == 0 and out == "true\n"
@@ -492,7 +619,22 @@ def fd_1100(tmp_path):
     return str(db), str(fds)
 
 
-def test_deep_repair_search_is_a_budget_error(fd_1100, capsys):
+@pytest.fixture
+def no_gc_callbacks():
+    """No gc callback for the test's duration. Python 3.12 and later cannot
+    call a Python callback at the recursion limit, so one that a library
+    installs in the test process (hypothesis installs one) would print
+    "Exception ignored in sys.unraisablehook" from a garbage collection
+    started there. A whydb process has none."""
+    saved = gc.callbacks[:]
+    gc.callbacks.clear()
+    try:
+        yield
+    finally:
+        gc.callbacks[:] = saved
+
+
+def test_deep_repair_search_is_a_budget_error(fd_1100, capsys, no_gc_callbacks):
     # each C-repair, and each S-repair holding tuple 7, deletes 1100
     # tuples, one nested search step each, past the recursion limit
     db, fds = fd_1100
@@ -500,6 +642,15 @@ def test_deep_repair_search_is_a_budget_error(fd_1100, capsys):
         ["repairs", "--kind", "c", "--db", db, "--constraints", fds],
         ["most-responsible", "--db", db, "-q", FD_1100_QUERY],
         ["contingency", "--db", db, "-q", FD_1100_QUERY, "--tid", "7"],
+    ) + tuple(
+        # listed in full, 2**1100 S-repairs: a search listing them per
+        # component would neither fail at once nor end
+        [*argv, "--format", fmt]
+        for argv in (
+            ["repairs", "--kind", "s", "--db", db, "--constraints", fds],
+            ["causes", "--db", db, "-q", FD_1100_QUERY],
+        )
+        for fmt in ("text", "json")
     ):
         code, out, err = run(capsys, argv)
         assert code == 1 and out == "", argv
@@ -517,7 +668,7 @@ def test_responsibility_needs_no_repair_listing(fd_1100, capsys):
     assert out == "responsibility(T(k3,a)#7) = 1/1100\n"
 
 
-def test_deep_join_is_a_budget_error(tmp_path, capsys):
+def test_deep_join_is_a_budget_error(tmp_path, capsys, no_gc_callbacks):
     # the join nests one step per atom, so 1200 atoms pass the recursion limit
     db = tmp_path / "two.facts"
     db.write_text("S(a). S(b).")
@@ -578,11 +729,12 @@ def test_oracle_guard_above_the_cap_is_the_cap(files, tmp_path, capsys, monkeypa
 @pytest.mark.parametrize("merged", [False, True])
 @pytest.mark.parametrize("buffered", [True, False])
 def test_reader_closing_early_is_exit_one(tmp_path, monkeypatch, buffered, merged):
-    # 12,000 answer lines, about 200 KB, overfill the 64 KiB pipe buffer, so
-    # the CLI is still writing when the reader closes its end. One line,
-    # read by no one, is still in stdout's buffer at exit unless unbuffered.
-    # Merged, stderr shares the closed pipe (`2>&1 | head`), so not even the
-    # error line can be written.
+    # 12,000 answer lines, about 200 KB, and a JSON document of 64 S-repairs,
+    # about 170 KB, overfill the 64 KiB pipe buffer, so the CLI is still
+    # writing when the reader closes its end. One line, read by no one, is
+    # still in stdout's buffer at exit unless unbuffered. Merged, stderr
+    # shares the closed pipe (`2>&1 | head`), so not even the error line can
+    # be written.
     if buffered:
         monkeypatch.delenv("PYTHONUNBUFFERED", raising=False)
     else:
@@ -591,15 +743,20 @@ def test_reader_closing_early_is_exit_one(tmp_path, monkeypatch, buffered, merge
     wide.write_text("".join(f"R(a{i},b{i}).\n" for i in range(12000)))
     one = tmp_path / "one.facts"
     one.write_text("R(a0,b0).")
-    for db, read in ((wide, 100), (one, 0)):
-        argv = ["query", "--db", str(db), "-q", "q(x,y) :- R(x,y)."]
+    pairs, fds = _fd_pairs(tmp_path, 6, 100)
+    query = ["-q", "q(x,y) :- R(x,y)."]
+    for argv, read in (
+        (["query", "--db", str(wide), *query], 100),
+        (["query", "--db", str(one), *query], 0),
+        (["repairs", "--db", pairs, "--constraints", fds, "--format", "json"], 100),
+    ):
         stderr = subprocess.STDOUT if merged else subprocess.PIPE
         with _whydb_process(argv, stderr) as proc:
             head = proc.stdout.read(read)
             proc.stdout.close()
             err = "" if merged else proc.stderr.read()
         assert len(head) == read
-        assert proc.returncode == 1, (db.name, err)
+        assert proc.returncode == 1, (argv, err)
         assert err.count("error:") <= 1 and "Exception ignored" not in err, err
 
 
