@@ -122,7 +122,8 @@ def causes_under_ics(
 
 
 def contingency_sets(inst: Instance, q: UCQ, t: int) -> list[frozenset[int]]:
-    """The subset-minimal contingency sets of t; empty iff t is no cause."""
+    """The subset-minimal contingency sets of t, empty iff t is no cause;
+    an exogenous t raises PreconditionError."""
     fact = inst.fact(t)
     if fact.exogenous:
         raise PreconditionError(

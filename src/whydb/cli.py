@@ -78,6 +78,10 @@ def _hard(args):
     return parse_hard_constraints(_read_file(args.hard)) if args.hard else []
 
 
+def _causes(inst, q, hard):
+    return causes_under_ics(inst, q, hard) if hard else actual_causes(inst, q)
+
+
 def _texts(inst) -> Callable[[int], str]:
     """A memo of rendered facts by tid, one per command: each fact is
     rendered at most once, and only when it is printed."""
@@ -130,9 +134,7 @@ def _cmd_repairs(args, inst):
 
 
 def _cmd_causes(args, inst):
-    q = _query(args)
-    hard = _hard(args)
-    reports = causes_under_ics(inst, q, hard) if hard else actual_causes(inst, q)
+    reports = _causes(inst, _query(args), _hard(args))
     text = _texts(inst)
     if args.format == "json":
         return {
@@ -268,7 +270,7 @@ def _cmd_oracle_check(args, inst):
         c_expected = (r for r in expected if r.c_repair)
         checks.append(("c-repairs", _deleted(got_c), _deleted(c_expected)))
     if q is not None:
-        reports = causes_under_ics(inst, q, hard) if hard else actual_causes(inst, q)
+        reports = _causes(inst, q, hard)
         expected = (
             brute_causes_from_repairs(inst, q, hard, guard)
             if hard
@@ -297,6 +299,14 @@ def _cmd_oracle_check(args, inst):
 _HARD = ("--hard", {"help": "hard-constraint file"})
 _TID = ("--tid", {"type": int, "required": True})
 _FLAG = {"action": "store_true"}
+# emit-asp options that only a causality program (one from a query) reads
+_CAUSALITY_ONLY = (
+    _HARD,
+    ("--no-cause-rules", _FLAG),
+    ("--contingency-union", _FLAG),
+    ("--responsibility-rules", _FLAG),
+    ("--weak-constraints", _FLAG),
+)
 _DIALECTS = sorted(d.value.replace("_", "-") for d in AspDialect)
 
 # name: (help, handler, query: required (True), optional (False) or none,
@@ -329,11 +339,7 @@ _COMMANDS = {
         (
             ("--constraints", {"help": "constraint file (repair program)"}),
             ("--dialect", {"choices": _DIALECTS, "default": "core-disjunctive"}),
-            _HARD,
-            ("--no-cause-rules", _FLAG),
-            ("--contingency-union", _FLAG),
-            ("--responsibility-rules", _FLAG),
-            ("--weak-constraints", _FLAG),
+            *_CAUSALITY_ONLY,
         ),
     ),
     "oracle-check": (
@@ -396,8 +402,9 @@ def _check_sources(args) -> None:
                 "emit-asp needs exactly one of a query (-q/--query-file) "
                 "or --constraints"
             )
-        if args.constraints and args.hard:
-            raise _UsageError("--hard applies to causality programs only")
+        for flag, _ in _CAUSALITY_ONLY if args.constraints else ():
+            if getattr(args, flag[2:].replace("-", "_")):
+                raise _UsageError(f"{flag} applies to causality programs only")
     if args.command == "oracle-check":
         if not (args.constraints or _has_query(args)):
             raise _UsageError("oracle-check needs a query or --constraints")

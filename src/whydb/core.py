@@ -140,9 +140,6 @@ class Instance:
     def arity(self, predicate: str) -> int | None:
         return self._arities.get(predicate)
 
-    def predicates(self) -> tuple[str, ...]:
-        return tuple(sorted(self._arities))
-
     def of_predicate(self, predicate: str) -> tuple[Fact, ...]:
         return self._by_pred.get(predicate, ())
 

@@ -1,4 +1,6 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the search nesting budget."""
+
+import sys
 
 
 class WhydbError(Exception):
@@ -51,6 +53,18 @@ class EmitError(WhydbError):
 class BudgetExceededError(WhydbError):
     """A search outgrew what whydb can run to the end, e.g. a repair search
     nested deeper than Python's recursion limit."""
+
+
+def _nesting_budget(search, what: str):
+    """The items of a recursive search; nesting deeper than the recursion
+    limit raises BudgetExceededError: `what` needs more nested steps."""
+    try:
+        yield from search
+    except RecursionError:
+        raise BudgetExceededError(
+            f"{what} needs more nested steps than the recursion limit "
+            f"({sys.getrecursionlimit()}) allows"
+        ) from None
 
 
 class OracleGuardError(WhydbError):

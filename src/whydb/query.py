@@ -18,7 +18,6 @@ written quoted (``"a4"``) or start with an uppercase letter or digit.
 from __future__ import annotations
 
 import re
-import sys
 from dataclasses import dataclass
 from typing import Iterator, Mapping, Union
 
@@ -26,9 +25,9 @@ from ._scan import IDENTIFIER_RE, Scanner
 from .core import CONSTANT_STOP, Fact, Instance, is_constant
 from .errors import (
     ArityMismatchError,
-    BudgetExceededError,
     OpenQueryError,
     SafetyError,
+    _nesting_budget,
 )
 
 VARIABLE_RE = re.compile(r"[a-z][A-Za-z0-9_]*")
@@ -91,9 +90,7 @@ class CQ:
     def __post_init__(self):
         if not self.atoms:
             raise ValueError("a conjunctive query needs at least one atom")
-        bound = set()
-        for atom in self.atoms:
-            bound |= atom.variables()
+        bound = self.variables()
         for left, right in self.inequalities:
             for term in (left, right):
                 if isinstance(term, Var) and term.name not in bound:
@@ -139,10 +136,6 @@ class UCQ:
     @property
     def is_boolean(self) -> bool:
         return not self.free_vars
-
-    def render(self, head: str = "q") -> str:
-        head_text = head if self.is_boolean else f"{head}({', '.join(self.free_vars)})"
-        return "\n".join(f"{head_text} :- {cq.render_body()}." for cq in self.disjuncts)
 
 
 @dataclass(frozen=True)
@@ -522,13 +515,7 @@ def _solutions(
             yield from extend(i + 1, extended, picked)
             picked.pop()
 
-    try:
-        yield from extend(0, {}, [])
-    except RecursionError:
-        raise BudgetExceededError(
-            f"join over {len(steps)} atoms needs more nested steps than the "
-            f"recursion limit ({sys.getrecursionlimit()}) allows"
-        ) from None
+    yield from _nesting_budget(extend(0, {}, []), f"join over {len(steps)} atoms")
 
 
 def eval_bcq(inst: Instance, q: UCQ) -> bool:

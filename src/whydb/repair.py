@@ -18,7 +18,6 @@ edge alone, so it reaches only minimal hitting sets.
 
 from __future__ import annotations
 
-import sys
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence, Union
 
@@ -26,9 +25,9 @@ from ._scan import Scanner
 from .core import Instance
 from .errors import (
     ArityMismatchError,
-    BudgetExceededError,
     IrreparableError,
     UnknownTidError,
+    _nesting_budget,
 )
 from .query import (
     DC,
@@ -156,7 +155,8 @@ def _minimal_hitting_sets(
     most: int | None = None,
 ) -> Iterator[frozenset[int]]:
     """The minimal hitting sets of the edge family that contain `start`,
-    each produced once, lazily.
+    each produced once, lazily. Callers pass the minimal edges in canonical
+    order (`_minimal_edges`); any family gives the same sets.
 
     Branches over the free elements of the open edge with the fewest of
     them, in tid order; elements tried at a node are banned in later
@@ -173,7 +173,6 @@ def _minimal_hitting_sets(
     search recurses once per chosen element; nesting deeper than the
     recursion limit raises BudgetExceededError.
     """
-    order = sorted(set(edges), key=_canonical)
 
     def search(chosen: frozenset[int], critical, banned, open_edges):
         if not open_edges:
@@ -191,18 +190,12 @@ def _minimal_hitting_sets(
                 yield from search(chosen | {t}, kept, blocked, rest)
             blocked = blocked | {t}
 
-    critical = [[e for e in order if e & start == {u}] for u in start]
+    critical = [[e for e in edges if e & start == {u}] for u in start]
     if not all(critical):
         return
-    open_edges = [e for e in order if not e & start]
-    try:
-        yield from search(start, critical, frozenset(), open_edges)
-    except RecursionError:
-        limit = sys.getrecursionlimit()
-        raise BudgetExceededError(
-            f"repair search over {len(edges)} violation edges needs more "
-            f"nested steps than the recursion limit ({limit}) allows"
-        ) from None
+    open_edges = [e for e in edges if not e & start]
+    what = f"repair search over {len(edges)} violation edges"
+    yield from _nesting_budget(search(start, critical, frozenset(), open_edges), what)
 
 
 def _minimal_edges(edges: Iterable[frozenset[int]]) -> list[frozenset[int]]:

@@ -498,6 +498,31 @@ def test_emit_asp_needs_exactly_one_source(files, capsys):
     assert code == 2
 
 
+CAUSALITY_ONLY = (
+    "--hard", "--no-cause-rules", "--contingency-union", "--responsibility-rules",
+    "--weak-constraints",
+)
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+@pytest.mark.parametrize("flag", CAUSALITY_ONLY)
+def test_emit_asp_repair_program_refuses_causality_options(files, capsys, flag, fmt):
+    # a repair program reads none of these options, so naming one is a
+    # usage error, not an option silently ignored
+    argv = ["emit-asp", "--db", files["dstar.facts"], "--constraints", files["kq.dc"]]
+    option = [flag, files["hard.ref"]] if flag == "--hard" else [flag]
+    code, out, err = run(capsys, [*argv, *option, "--format", fmt])
+    assert (code, out) == (2, "")
+    assert err == f"error: {flag} applies to causality programs only\n"
+
+
+def test_emit_asp_names_the_first_causality_option_in_help_order(files, capsys):
+    argv = ["emit-asp", "--db", files["dstar.facts"], "--constraints", files["kq.dc"]]
+    code, out, err = run(capsys, [*argv, "--weak-constraints", "--no-cause-rules"])
+    assert (code, out) == (2, "")
+    assert err == "error: --no-cause-rules applies to causality programs only\n"
+
+
 def test_source_arguments_are_checked_before_the_db_is_read(tmp_path, capsys):
     missing = str(tmp_path / "missing.facts")
     for argv, message in [
@@ -506,6 +531,8 @@ def test_source_arguments_are_checked_before_the_db_is_read(tmp_path, capsys):
          "emit-asp needs exactly one of"),
         (["emit-asp", "--db", missing, "--constraints", missing, "--hard", missing],
          "--hard applies to causality programs only"),
+        (["emit-asp", "--db", missing, "--constraints", missing, "--weak-constraints"],
+         "--weak-constraints applies to causality programs only"),
         (["oracle-check", "--db", missing], "oracle-check needs a query"),
     ]:
         code, out, err = run(capsys, argv)

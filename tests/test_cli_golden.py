@@ -133,6 +133,11 @@ def _cases() -> dict[str, tuple[list[str], dict[str, str]]]:
     add("error/emit-asp-no-source", "emit-asp", *db)
     add("error/emit-asp-two-sources", "emit-asp", *db, *query, *kq)
     add("error/emit-asp-hard-repair", "emit-asp", *db, *kq, *hard)
+    for flag in (
+        "--no-cause-rules", "--contingency-union", "--responsibility-rules",
+        "--weak-constraints",
+    ):
+        add(f"error/emit-asp{flag[1:]}-repair", "emit-asp", *db, *kq, flag)
     add("error/oracle-check-no-input", "oracle-check", *db)
     guard = {"WHYDB_ORACLE_GUARD": "2"}
     add("error/oracle-check-guard", "oracle-check", *db, *query, env=guard)

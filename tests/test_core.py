@@ -240,6 +240,14 @@ def test_tid_assignment_is_injective(inst):
 
 
 def test_instance_constructor_validates():
+    with pytest.raises(ValueError, match="bad predicate name"):
+        Fact("1P", ("a",), 1)
+    with pytest.raises(ValueError, match="at least one argument"):
+        Fact("P", (), 1)
+    with pytest.raises(ValueError, match="bad constant"):
+        Fact("P", ("a,b",), 1)
+    with pytest.raises(ValueError, match="tids are positive"):
+        Fact("P", ("a",), 0)
     with pytest.raises(ValueError):
         Instance([Fact("P", ("a",), 1), Fact("P", ("a",), 2)])
     with pytest.raises(ValueError):

@@ -4,6 +4,7 @@ import pytest
 
 from whydb import (
     ArityMismatchError,
+    OpenQueryError,
     OracleGuardError,
     brute_causes,
     brute_causes_from_repairs,
@@ -21,6 +22,37 @@ from conftest import D1_ATOMS, D2_ATOMS, D3_ATOMS
 
 def atoms(inst, tids):
     return {inst.fact(t).atom_text() for t in tids}
+
+
+@pytest.mark.parametrize(
+    "call, error, message",
+    [
+        pytest.param(
+            lambda: brute_causes(load_instance("S(a)."), parse_query("q(x) :- S(x).")),
+            OpenQueryError,
+            "requires a boolean query",
+            id="brute-causes-open",
+        ),
+        pytest.param(
+            lambda: brute_causes_from_repairs(
+                load_instance("S(a)."), parse_query("q(x) :- S(x).")
+            ),
+            OpenQueryError,
+            "requires a boolean query",
+            id="brute-causes-from-repairs-open",
+        ),
+        pytest.param(
+            lambda: brute_repairs(load_instance("S(a)."), parse_constraints(":- S(x,y).")),
+            ArityMismatchError,
+            "has arity 2, facts use 1",
+            id="arity",
+        ),
+    ],
+)
+def test_oracle_rejects_what_it_cannot_answer(call, error, message):
+    # the oracle checks its own inputs: it shares no code with the main path
+    with pytest.raises(error, match=message):
+        call()
 
 
 def test_brute_repairs_running_example(dstar, qstar):

@@ -21,7 +21,7 @@ from whydb import (
     parse_query,
     violations,
 )
-from whydb.query import CQ, DC, FD, ConstraintSet, ViolationEdge, Var, _plan
+from whydb.query import CQ, DC, FD, UCQ, Atom, ConstraintSet, ViolationEdge, Var, _plan
 
 from conftest import DSTAR_TEXT, K12_TEXT, QSTAR_TEXT
 
@@ -104,6 +104,48 @@ def test_fd_determined_inside_determinants_rejected():
         parse_constraints("fd P: 1 -> 1.", arities={"P": 2})
     with pytest.raises(ValueError):
         FD("P", frozenset({1}), 1)
+
+
+_PX = (Atom("P", (Var("x"),)),)
+
+
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        pytest.param(lambda: Var("X"), "bad variable name", id="var-name"),
+        pytest.param(lambda: Atom("1P", ("a",)), "bad predicate name", id="atom-name"),
+        pytest.param(lambda: Atom("P", ()), "at least one term", id="atom-no-terms"),
+        pytest.param(lambda: Atom("P", ("a,b",)), "bad constant", id="atom-constant"),
+        pytest.param(lambda: CQ(()), "at least one atom", id="cq-no-atoms"),
+        pytest.param(lambda: UCQ(()), "at least one rule", id="ucq-no-rules"),
+        pytest.param(
+            lambda: UCQ((CQ(_PX, free_vars=("x",)), CQ(_PX))),
+            "share the same head",
+            id="ucq-heads",
+        ),
+        pytest.param(
+            lambda: DC(CQ(_PX, free_vars=("x",))), "no free variables", id="dc-free"
+        ),
+        pytest.param(
+            lambda: FD("P", frozenset(), 1), "at least one determinant", id="fd-none"
+        ),
+        pytest.param(
+            lambda: ConstraintSet((DC(CQ(_PX)),), ("a", "b")),
+            "one label per constraint",
+            id="labels",
+        ),
+        pytest.param(
+            lambda: fd_to_dc(FD("P", frozenset({1}), 2), 0),
+            "arity must be positive",
+            id="fd-to-dc-arity",
+        ),
+    ],
+)
+def test_constructors_reject_malformed_values(build, message):
+    # the parsers never build these values, so these checks guard only
+    # values built in Python
+    with pytest.raises(ValueError, match=message):
+        build()
 
 
 def test_fd_to_dc_canonical_shape():

@@ -129,6 +129,19 @@ def test_minimal_hitting_sets_too_deep_is_a_budget_error():
         list(_minimal_hitting_sets(edges))
 
 
+@pytest.mark.parametrize(
+    "source, target, message",
+    [
+        pytest.param((), (), "at least one position", id="no-positions"),
+        pytest.param((1,), (1, 2), "equal length", id="lengths"),
+        pytest.param((0,), (1,), "1-based", id="zero"),
+    ],
+)
+def test_referential_constraint_rejects_malformed_positions(source, target, message):
+    with pytest.raises(ValueError, match=message):
+        ReferentialConstraint("R", source, "S", target)
+
+
 def test_s_repairs_running_example(dstar, kq):
     reps = s_repairs(dstar, kq)
     assert [sorted(r.deleted) for r in reps] == [[6], [1, 3], [3, 4]]
