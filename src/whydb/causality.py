@@ -13,7 +13,10 @@ and `responsibility` only the size of a smallest one. `dif_c` and
 `most_responsible_causes` read `c_repairs`, which finds the minimum
 hitting sets directly. Only `actual_causes` and `causes_under_ics` list
 every S-repair: they report every cause, and hard constraints judge whole
-repairs.
+repairs. Every list of differences is a product over the hypergraph's
+connected components, and every size a sum over them. The product nests
+one step per component, so about a thousand components, or a thousand
+deletions inside one, raise BudgetExceededError.
 """
 
 from __future__ import annotations

@@ -7,13 +7,26 @@ exogenous tuples alone is irreparable.
 
 `Hypergraph` is built once per (instance, constraint set). It keeps the
 inclusion-minimal edges, which have the same minimal hitting sets as all
-edges. From it come the C-repairs, the S-repairs holding one tuple, and the
-smallest of those, without listing every S-repair. One lazy search lists
-minimal hitting sets, cut at a size if asked; a smallest size is the least
-cut under which it finds one. `s_repairs` lists them all, less those
-breaking a hard constraint, which judges a whole repair; `c_repairs` then
-keeps the smallest. The search cuts a branch once a chosen tuple meets no
-edge alone, so it reaches only minimal hitting sets.
+edges, split into connected components. The minimal hitting sets of a
+disjoint union are exactly the unions of one minimal hitting set per part
+(Eiter and Gottlob 1995), so every listing is a product over components:
+each component is listed on its own, and the product joins one set of
+each. Sizes add up the same way: a smallest hitting set is one of each
+component, and each component's smallest size is found once.
+
+One lazy search lists a family's minimal hitting sets, cut at a size if
+asked; a smallest size is the least cut under which it finds one. The
+search cuts a branch once a chosen tuple meets no edge alone, so it
+reaches only minimal hitting sets. From the hypergraph come the S-repairs,
+the C-repairs, the S-repairs holding one tuple, and the smallest of those.
+`s_repairs` lists them all, less those breaking a hard constraint, which
+judges a whole repair; `c_repairs` with hard constraints keeps the smallest
+of those.
+
+The search nests one step per chosen tuple, and the product one step per
+component. Nesting deeper than the recursion limit raises
+BudgetExceededError: about a thousand components, or a thousand deletions
+inside one component, are past it.
 """
 
 from __future__ import annotations
@@ -153,6 +166,7 @@ def _minimal_hitting_sets(
     edges: Sequence[frozenset[int]],
     start: frozenset[int] = frozenset(),
     most: int | None = None,
+    what: str | None = None,
 ) -> Iterator[frozenset[int]]:
     """The minimal hitting sets of the edge family that contain `start`,
     each produced once, lazily. Callers pass the minimal edges in canonical
@@ -171,7 +185,10 @@ def _minimal_hitting_sets(
     With `most`, a branch is cut once its chosen elements plus the number
     of pairwise disjoint free parts of its open edges exceed `most`. The
     search recurses once per chosen element; nesting deeper than the
-    recursion limit raises BudgetExceededError.
+    recursion limit raises BudgetExceededError, which names `what`, by
+    default the search over these edges. `Hypergraph` runs it on one
+    component at a time, so it nests as deep as the deletions inside one
+    component, and names the whole hypergraph in `what`.
     """
 
     def search(chosen: frozenset[int], critical, banned, open_edges):
@@ -194,8 +211,29 @@ def _minimal_hitting_sets(
     if not all(critical):
         return
     open_edges = [e for e in edges if not e & start]
-    what = f"repair search over {len(edges)} violation edges"
+    what = what or _search_name(edges)
     yield from _nesting_budget(search(start, critical, frozenset(), open_edges), what)
+
+
+def _search_name(edges: Sequence[frozenset[int]]) -> str:
+    return f"repair search over {len(edges)} violation edges"
+
+
+def _product(
+    parts: Sequence[Sequence[frozenset[int]]], what: str
+) -> Iterator[frozenset[int]]:
+    """Every union of one set from each part, lazily. It recurses one step
+    per part; nesting deeper than the recursion limit raises
+    BudgetExceededError naming `what`."""
+
+    def extend(i: int, chosen: frozenset[int]):
+        if i == len(parts):
+            yield chosen
+            return
+        for part in parts[i]:
+            yield from extend(i + 1, chosen | part)
+
+    yield from _nesting_budget(extend(0, frozenset()), what)
 
 
 def _minimal_edges(edges: Iterable[frozenset[int]]) -> list[frozenset[int]]:
@@ -240,21 +278,22 @@ def _components(edges: Sequence[frozenset[int]]) -> list[list[frozenset[int]]]:
     return out
 
 
-def _fewest(edges: Iterable[frozenset[int]]) -> int:
-    """The size of a smallest hitting set of a family of nonempty edges.
+def _fewest_in(component: Sequence[frozenset[int]], what: str | None = None) -> int:
+    """The size of a smallest hitting set of one component's minimal edges.
+    The bound `most` counts up from the disjoint-edge lower bound until the
+    listing search finds a set under it (iterative deepening), so the first
+    bound that succeeds is the smallest size."""
+    most = _disjoint_count(component)
+    while next(_minimal_hitting_sets(component, most=most, what=what), None) is None:
+        most += 1
+    return most
 
-    Its minimal edges split into connected components, and the sizes add
-    up. Per component, the bound `most` counts up from the disjoint-edge
-    lower bound until the listing search finds a set under it (iterative
-    deepening), so the first bound that succeeds is the smallest size.
-    """
-    total = 0
-    for component in _components(_minimal_edges(edges)):
-        most = _disjoint_count(component)
-        while next(_minimal_hitting_sets(component, most=most), None) is None:
-            most += 1
-        total += most
-    return total
+
+def _fewest(edges: Iterable[frozenset[int]], what: str | None = None) -> int:
+    """The size of a smallest hitting set of a family of nonempty edges:
+    its minimal edges split into connected components, and the sizes add
+    up."""
+    return sum(_fewest_in(c, what) for c in _components(_minimal_edges(edges)))
 
 
 class Hypergraph:
@@ -262,9 +301,11 @@ class Hypergraph:
 
     `minimal` holds the inclusion-minimal endogenous parts of the violation
     edges, in canonical order, by sorted tids. The S-repairs delete exactly
-    the minimal hitting sets of all edges, which are those of `minimal`, so
-    every search reads the minimal edges alone, and every size comes from
-    `_fewest` over them or over their parts.
+    the minimal hitting sets of all edges, which are those of `minimal`.
+    These split into connected components, which share no tuple: every
+    S-repair deletion set is one minimal hitting set of each component, and
+    its size is the sum of theirs. So each answer lists, or sizes, each
+    component on its own, and each component's smallest size is found once.
     """
 
     def __init__(self, inst: Instance, ground: Iterable[ViolationEdge]):
@@ -279,36 +320,76 @@ class Hypergraph:
                 )
             edges.add(candidates)
         self.minimal = _minimal_edges(edges)
+        self._parts = _components(self.minimal)
+        self._part_of = {
+            t: i for i, part in enumerate(self._parts) for e in part for t in e
+        }
+        self._minima: list[int | None] = [None] * len(self._parts)
+        self._what = _search_name(self.minimal)
 
     @classmethod
     def of(cls, inst: Instance, cs: ConstraintSet) -> "Hypergraph":
         return cls(inst, violations(inst, cs))
 
+    def _minimum(self, i: int) -> int:
+        """The size of a smallest hitting set of component i, found once."""
+        if self._minima[i] is None:
+            self._minima[i] = _fewest_in(self._parts[i], self._what)
+        return self._minima[i]
+
+    def _listed(self, part, **limits) -> list[frozenset[int]]:
+        return list(_minimal_hitting_sets(part, what=self._what, **limits))
+
+    def transversals(self) -> Iterator[frozenset[int]]:
+        """The S-repair deletion sets, every minimal hitting set: each
+        component is listed at once, and their product lazily."""
+        return _product([self._listed(part) for part in self._parts], self._what)
+
     def minimum_size(self) -> int:
         """The deletion count of every C-repair."""
-        return _fewest(self.minimal)
+        return sum(map(self._minimum, range(len(self._parts))))
 
     def minimum_hitting_sets(self) -> list[frozenset[int]]:
-        """The deletion sets of the C-repairs, by a search over the whole
-        hypergraph cut at the minimum size."""
-        return list(_minimal_hitting_sets(self.minimal, most=self.minimum_size()))
+        """The deletion sets of the C-repairs: one smallest hitting set of
+        each component."""
+        parts = [
+            self._listed(part, most=self._minimum(i))
+            for i, part in enumerate(self._parts)
+        ]
+        return list(_product(parts, self._what))
 
     def transversals_with(self, t: int) -> list[frozenset[int]]:
         """The S-repair deletion sets that hold t, sorted by (size, tids).
-        t is in one only if it is in some minimal edge."""
-        found = _minimal_hitting_sets(self.minimal, start=frozenset({t}))
-        return sorted(found, key=_by_size)
+        t is in one only if it is in some minimal edge; its own component's
+        sets must hold it, and every other component's are free."""
+        own = self._part_of.get(t)
+        if own is None:
+            return []
+        parts = [
+            self._listed(part, start=frozenset({t} if i == own else ()))
+            for i, part in enumerate(self._parts)
+        ]
+        return sorted(_product(parts, self._what), key=_by_size)
 
     def fewest_with(self, t: int) -> int:
         """The size of a smallest S-repair deletion set holding t; 0 if none
         does.
 
-        Such a set is t, a minimal edge e that it meets in t alone, and a
-        smallest hitting set of the parts f - e of the edges f without t.
+        It is the smallest size of every other component, plus that of a
+        smallest minimal hitting set of t's own component holding t: t, a
+        minimal edge e that it meets in t alone, and a smallest hitting set
+        of the parts f - e of the component's edges f without t.
         """
-        rest = [f for f in self.minimal if t not in f]
-        own = [e for e in self.minimal if t in e]
-        return min((1 + _fewest(f - e for f in rest) for e in own), default=0)
+        own = self._part_of.get(t)
+        if own is None:
+            return 0
+        part = self._parts[own]
+        rest = [f for f in part if t not in f]
+        within = min(
+            1 + _fewest((f - e for f in rest), self._what) for e in part if t in e
+        )
+        others = (self._minimum(i) for i in range(len(self._parts)) if i != own)
+        return within + sum(others)
 
 
 def _repairs(inst: Instance, deleted: Iterable[frozenset[int]]) -> list[Repair]:
@@ -328,7 +409,7 @@ def s_repairs(
     repairs whose retained set violates them, they never trigger further
     deletions. Output is sorted by (deletion count, deleted tids).
     """
-    found = _minimal_hitting_sets(Hypergraph.of(inst, cs).minimal)
+    found = Hypergraph.of(inst, cs).transversals()
     if hard:
         found = [
             d for d in found if all(satisfies_hard(inst.without(d), h) for h in hard)

@@ -662,16 +662,16 @@ def no_gc_callbacks():
 
 
 def test_deep_repair_search_is_a_budget_error(fd_1100, capsys, no_gc_callbacks):
-    # each C-repair, and each S-repair holding tuple 7, deletes 1100
-    # tuples, one nested search step each, past the recursion limit
+    # each listing is a product over the 1100 components, one nested step
+    # per component, past the recursion limit
     db, fds = fd_1100
     for argv in (
         ["repairs", "--kind", "c", "--db", db, "--constraints", fds],
         ["most-responsible", "--db", db, "-q", FD_1100_QUERY],
         ["contingency", "--db", db, "-q", FD_1100_QUERY, "--tid", "7"],
     ) + tuple(
-        # listed in full, 2**1100 S-repairs: a search listing them per
-        # component would neither fail at once nor end
+        # 2**1100 S-repairs: the product fails at once, where one nested
+        # step per listed set would never end
         [*argv, "--format", fmt]
         for argv in (
             ["repairs", "--kind", "s", "--db", db, "--constraints", fds],
@@ -683,6 +683,27 @@ def test_deep_repair_search_is_a_budget_error(fd_1100, capsys, no_gc_callbacks):
         assert code == 1 and out == "", argv
         assert len(err.splitlines()) == 1 and err.startswith("error: "), argv
         assert "1100 violation edges" in err and "Traceback" not in err, argv
+
+
+def test_deep_component_is_a_budget_error(tmp_path, capsys, no_gc_callbacks):
+    # a path of 2200 facts is one component whose every hitting set holds
+    # about 1100 of them, one nested search step each. Beside it lie a
+    # singleton edge and an edge of two, and both the listing and the size
+    # search name all 2201 edges
+    db = tmp_path / "path.facts"
+    db.write_text(
+        "".join(f"P(c{i},c{i + 1}).\n" for i in range(2200))
+        + "P(d,d). P(e1,e2). P(e2,e3).\n"
+    )
+    query = "q :- P(x,y), P(y,z)."
+    for argv in (
+        ["causes", "--db", str(db), "-q", query],
+        ["responsibility", "--db", str(db), "-q", query, "--tid", "5"],
+    ):
+        code, out, err = run(capsys, argv)
+        assert code == 1 and out == "", argv
+        assert len(err.splitlines()) == 1 and err.startswith("error: "), argv
+        assert "2201 violation edges" in err and "recursion limit" in err, argv
 
 
 def test_responsibility_needs_no_repair_listing(fd_1100, capsys):

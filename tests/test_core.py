@@ -110,6 +110,14 @@ def test_parse_error_carries_position():
     assert exc.value.line == 2
 
 
+def test_parse_error_message_names_what_position_it_has():
+    assert str(ParseError("bad", line=3, column=5)) == "bad (line 3, column 5)"
+    no_column = ParseError("bad", line=3)
+    assert str(no_column) == "bad (line 3)"
+    assert (no_column.line, no_column.column) == (3, None)
+    assert str(ParseError("bad")) == "bad"
+
+
 def test_constants_are_opaque():
     inst = load_instance("P(a-b,3,x_Y). P(0,0,0).")
     assert inst.fact(1).args == ("a-b", "3", "x_Y")
@@ -254,6 +262,15 @@ def test_instance_constructor_validates():
         Instance([Fact("P", ("a",), 1), Fact("Q", ("b",), 1)])
     with pytest.raises(ValueError):
         Instance([Fact("P", ("a",), 1), Fact("P", ("a", "b"), 2)])
+
+
+def test_instance_iterates_and_hashes_by_its_facts():
+    inst = load_instance(DSTAR_TEXT)
+    assert list(inst) == list(inst.facts)
+    same = load_instance(DSTAR_TEXT)
+    assert same is not inst and hash(same) == hash(inst)
+    assert {inst: "d*"}[same] == "d*"
+    assert len({inst, same, inst.without({6})}) == 2
 
 
 def test_restrict_and_without():

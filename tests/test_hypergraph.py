@@ -29,11 +29,21 @@ from whydb import (
     load_instance,
     most_responsible_causes,
     negate_query,
+    parse_constraints,
     parse_query,
     responsibility,
     s_repairs,
 )
-from whydb.repair import C_REPAIR, S_REPAIR
+from whydb.query import ViolationEdge
+from whydb.repair import (
+    C_REPAIR,
+    S_REPAIR,
+    Hypergraph,
+    _by_size,
+    _fewest,
+    _minimal_edges,
+    _minimal_hitting_sets,
+)
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"
 
@@ -133,6 +143,77 @@ def test_hypergraph_answers_match_enumeration(case):
                 contingency_sets(inst, q, t)
         else:
             assert contingency_sets(inst, q, t) == [d - {t} for d in holding]
+
+
+@st.composite
+def families(draw):
+    """Unary facts P(1)..P(n+1) with some exogenous, and violation edges
+    over P(1)..P(n) drawn in disjoint blocks, so the components are apart
+    unless a bridging edge joins two. Edges may repeat, hold one tuple or
+    hold others; P(n+1) is in none. The family may be empty."""
+    n = draw(st.integers(1, 16))
+    cuts = sorted(draw(st.sets(st.integers(1, n - 1), max_size=4))) if n > 1 else []
+    bounds = [0, *cuts, n]
+    edges = []
+    for low, high in zip(bounds, bounds[1:]):
+        block = st.integers(low + 1, high)
+        edges += draw(st.lists(st.frozensets(block, min_size=1, max_size=3), max_size=4))
+    if edges:
+        edges += draw(st.lists(st.sampled_from(edges), max_size=2))
+    edges += draw(
+        st.lists(st.frozensets(st.integers(1, n), min_size=1, max_size=3), max_size=1)
+    )
+    assume(prod(map(len, edges)) <= 2000)
+    exogenous = draw(st.sets(st.integers(1, n + 1), max_size=n // 4))
+    inst = load_instance(
+        "".join(f"{'@exo ' if t in exogenous else ''}P({t}).\n" for t in range(1, n + 2))
+    )
+    return inst, [ViolationEdge(edge, 0) for edge in edges]
+
+
+@settings(deadline=None, max_examples=300)
+@given(families())
+def test_per_component_answers_match_one_search_over_the_whole_family(case):
+    """The product over components against one search over all minimal
+    edges at once, against the benchmark's separate transversal search, and
+    the sizes against `_fewest` over the whole family."""
+    inst, ground = case
+    endogenous = [e.tids & inst.endogenous_tids for e in ground]
+    if not all(endogenous):
+        with pytest.raises(IrreparableError):
+            Hypergraph(inst, ground)
+        return
+    graph = Hypergraph(inst, ground)
+    whole = _minimal_edges(endogenous)
+    expected = sorted(_minimal_hitting_sets(whole), key=_by_size)
+    assert sorted(graph.transversals(), key=_by_size) == expected
+    assert sorted(hypergraph.minimal_transversals(endogenous, 10**6), key=_by_size) == expected
+    if not ground:
+        assert expected == [frozenset()]
+
+    fewest = _fewest(whole)
+    assert graph.minimum_size() == fewest == len(expected[0])
+    smallest = [d for d in expected if len(d) == fewest]
+    assert sorted(graph.minimum_hitting_sets(), key=_by_size) == smallest
+
+    for t in sorted(inst.tids):
+        holding = [d for d in expected if t in d]
+        assert graph.transversals_with(t) == holding
+        own = [e for e in whole if t in e]
+        rest = [f for f in whole if t not in f]
+        size = min((1 + _fewest(f - e for f in rest) for e in own), default=0)
+        assert graph.fewest_with(t) == size == (len(holding[0]) if holding else 0)
+    assert graph.transversals_with(max(inst.tids)) == []
+
+
+def test_fd_1100_fewest_with_every_tid():
+    """1100 components of one edge each: a smallest S-repair deletion set
+    holding any tuple deletes one tuple of every conflict."""
+    inst = load_instance("".join(f"T(k{i},a). T(k{i},b).\n" for i in range(1100)))
+    graph = Hypergraph.of(inst, parse_constraints("fd T: 1 -> 2.", inst))
+    assert len(graph.minimal) == 1100
+    assert {graph.fewest_with(t) for t in inst.tids} == {1100}
+    assert graph.minimum_size() == 1100
 
 
 CHAIN_QUERY = parse_query("q :- S(x), R(x,y), S(y).")

@@ -78,6 +78,12 @@ def test_parse_dc():
     assert [a.predicate for a in cs.dcs[0].body.atoms] == ["P", "Q"]
 
 
+def test_constraint_set_iterates_its_dcs_in_order():
+    cs = parse_constraints(":- P(x), Q(x,y). :- Q(x,x).")
+    assert list(cs) == list(cs.dcs) and len(list(cs)) == 2
+    assert [dc.body.atoms[0].predicate for dc in cs] == ["P", "Q"]
+
+
 def test_parse_empty_constraints():
     cs = parse_constraints("")
     assert len(cs) == 0
