@@ -670,8 +670,8 @@ def test_deep_repair_search_is_a_budget_error(fd_1100, capsys, no_gc_callbacks):
         ["most-responsible", "--db", db, "-q", FD_1100_QUERY],
         ["contingency", "--db", db, "-q", FD_1100_QUERY, "--tid", "7"],
     ) + tuple(
-        # 2**1100 S-repairs: the product fails at once, where one nested
-        # step per listed set would never end
+        # 2**1100 S-repairs, more than any listing could finish: the
+        # product fails at once, before the first
         [*argv, "--format", fmt]
         for argv in (
             ["repairs", "--kind", "s", "--db", db, "--constraints", fds],
