@@ -91,23 +91,18 @@ def _collect_predicates(
     inst: Instance, constraints: Sequence[HardConstraint]
 ) -> dict[str, int]:
     """Predicate -> arity over everything the program mentions, checked in
-    constraint order."""
+    constraint order: a referential constraint's predicate of unknown arity
+    is an EmitError, a position past its arity an ArityMismatchError."""
     arities: dict[str, int] = dict(inst.arities)
+
+    def arity(name: str) -> int:
+        if name not in arities:
+            raise EmitError(f"unknown arity for predicate {name!r} in hard constraint")
+        return arities[name]
+
     for constraint in constraints:
         if isinstance(constraint, ReferentialConstraint):
-            for name, positions in (
-                (constraint.source, constraint.source_positions),
-                (constraint.target, constraint.target_positions),
-            ):
-                if name not in arities:
-                    raise EmitError(
-                        f"unknown arity for predicate {name!r} in hard constraint"
-                    )
-                if max(positions) > arities[name]:
-                    raise EmitError(
-                        f"position {max(positions)} out of range for "
-                        f"{name}/{arities[name]}"
-                    )
+            constraint.check_positions(arity)
             continue
         for atom in constraint.body.atoms:
             known = arities.setdefault(atom.predicate, len(atom.terms))

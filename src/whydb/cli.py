@@ -1,8 +1,9 @@
 """Command-line front end. Output is byte-deterministic for fixed inputs.
 
 Exit status: 0 on success, 1 on domain errors (irreparable instances,
-precondition failures, oracle mismatches) and when stdout's reader closes
-it early, 2 on usage and parse errors.
+precondition failures, oracle mismatches), when an answer is too large for
+memory, and when stdout's reader closes it early, 2 on usage and parse
+errors.
 
 Every subcommand is one row of `_COMMANDS`. `main` builds its parser once
 per process, on first use, and parses every argv with it: argparse keeps
@@ -15,8 +16,15 @@ the bytes are those of `json.dumps(doc, indent=2)`; the handler has built
 the whole document before the first piece, so an error prints nothing on
 stdout. Handlers reach the library through this module's global names at
 call time, so a caller may rebind them (the benchmark's tracer does).
-Handlers render each fact once and only if printed: through a memo of their
-own (`_texts`), or, in `repairs`, which prints every fact, all at once.
+
+Each handler prints facts through one fact table (`_FactTable`), which
+renders a fact, and encodes its JSON string, the first time it is printed.
+Handlers return tid sets, not lists of strings: `_Facts` (one set) and
+`_FactSets` (a list of sets). A printed set costs one sort and one join,
+and a repair's retained facts, every fact but its k deletions, are k+1
+slices of every fact joined once per format. The JSON writer puts each flat
+value (`_flat`) in one piece: one piece per repair, and one per cause with
+all its contingency sets.
 """
 
 from __future__ import annotations
@@ -25,6 +33,7 @@ import argparse
 import os
 import sys
 from functools import cache
+from itertools import accumulate, pairwise
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
 from typing import Callable, Iterator, Sequence
@@ -82,18 +91,118 @@ def _causes(inst, q, hard):
     return causes_under_ics(inst, q, hard) if hard else actual_causes(inst, q)
 
 
-def _texts(inst) -> Callable[[int], str]:
-    """A memo of rendered facts by tid, one per command: each fact is
-    rendered at most once, and only when it is printed."""
-    return cache(lambda tid: inst.fact(tid).render())
+class _Memo(dict):
+    """`memo[key]` is `make(key)`, made the first time it is asked for."""
+
+    __slots__ = ("_make",)
+
+    def __init__(self, make: Callable):
+        super().__init__()
+        self._make = make
+
+    def __missing__(self, key):
+        value = self[key] = self._make(key)
+        return value
 
 
-def _facts(text, tids) -> list[str]:
-    return [text(t) for t in sorted(tids)]
+class _FactTable:
+    """One command's facts by tid: `text[tid]` renders a fact the first time
+    it is printed, and `json[tid]` encodes that text as a JSON string the
+    first time it is written. So each fact is rendered at most once, and
+    only if it is printed. Handlers hand tid sets to the writer as `_Facts`
+    and `_FactSets` of the table."""
+
+    def __init__(self, inst):
+        self._inst = inst
+        self.text = _Memo(lambda tid: inst.fact(tid).render())
+        self.json = _Memo(lambda tid: encode_basestring_ascii(self.text[tid]))
+        self._place: dict[int, int] = {}
+        self._every: dict[str, tuple[str, list[int]]] = {}
+
+    def join(self, tids, texts: _Memo, sep: str) -> str:
+        """The texts of the facts `tids`, in tid order, joined by `sep`."""
+        return sep.join(map(texts.__getitem__, sorted(tids)))
+
+    def join_without(self, deleted, texts: _Memo, sep: str) -> str:
+        """The texts of every fact but `deleted`, in tid order, joined by
+        `sep`: k+1 slices of every fact's text joined once per separator
+        (each format has its own), where k is the number deleted."""
+        facts = self._inst.facts
+        if not self._place:
+            self._place = {f.tid: i for i, f in enumerate(facts)}
+        if sep not in self._every:
+            every = [texts[f.tid] for f in facts]
+            starts = list(accumulate((len(t) + len(sep) for t in every), initial=0))
+            self._every[sep] = (sep.join(every), starts)
+        joined, starts = self._every[sep]
+        # The places of the deleted facts, bracketed by the ends of the list:
+        # the kept facts lie between two of them at least two places apart.
+        cuts = [-1, *map(self._place.__getitem__, sorted(deleted)), len(facts)]
+        end = len(sep)
+        runs = [(a + 1, b) for a, b in pairwise(cuts) if b > a + 1]
+        return sep.join([joined[starts[i] : starts[j] - end] for i, j in runs])
+
+    def braced(self, tids) -> str:
+        """The text form of a set of facts: `{R(a,b)#1, S(a)#2}`."""
+        return "{" + self.join(tids, self.text, ", ") + "}"
 
 
-def _fact_set(text, tids) -> str:
-    return "{" + ", ".join(_facts(text, tids)) + "}"
+def _json_list(items: str, newline: str) -> str:
+    """A JSON list as `json.dumps(indent=2)` writes it, from the JSON texts
+    of its items joined by `"," + newline + "  "`; `newline` is the line
+    break and indent before its closing bracket."""
+    return "[" + newline + "  " + items + newline + "]" if items else "[]"
+
+
+class _Facts:
+    """The facts with the given tids, or with `rest`, every fact of the
+    instance but those, printed in tid order: in braces as text, one fact
+    per item when iterated (not with `rest`), and as a JSON list of strings
+    by `_flat`."""
+
+    __slots__ = ("tids", "table", "rest")
+
+    def __init__(self, tids, table: _FactTable, rest: bool = False):
+        self.tids = tids
+        self.table = table
+        self.rest = rest
+
+    def __iter__(self) -> Iterator[str]:
+        return map(self.table.text.__getitem__, sorted(self.tids))
+
+    def _join(self, texts: _Memo, sep: str) -> str:
+        join = self.table.join_without if self.rest else self.table.join
+        return join(self.tids, texts, sep)
+
+    def __str__(self) -> str:
+        return "{" + self._join(self.table.text, ", ") + "}"
+
+    def json(self, newline: str) -> str:
+        return _json_list(self._join(self.table.json, "," + newline + "  "), newline)
+
+
+class _FactSets:
+    """A list of tid sets, each printed as the facts it holds: one text per
+    set when iterated, and as a JSON list of lists of strings by `_flat`.
+    One object for the whole list, however long."""
+
+    __slots__ = ("sets", "table")
+
+    def __init__(self, sets, table: _FactTable):
+        self.sets = sets
+        self.table = table
+
+    def __iter__(self) -> Iterator[str]:
+        return map(self.table.braced, self.sets)
+
+    def json(self, newline: str) -> str:
+        table, inner = self.table, newline + "  "
+        sep = "," + inner + "  "
+        lists = [_json_list(table.join(g, table.json, sep), inner) for g in self.sets]
+        return _json_list(("," + inner).join(lists), newline)
+
+
+_FACT_VALUES = (_Facts, _FactSets)
 
 
 def _rho_json(value):
@@ -102,40 +211,27 @@ def _rho_json(value):
     return {"num": value.numerator, "den": value.denominator}
 
 
-def _split(rendered: list[str], index: dict[int, int], deleted) -> tuple[list, list]:
-    """The rendered facts that `deleted` holds and those it does not, each in
-    tid order: `rendered` is every fact's text in tid order, and `index`
-    maps a tid to its place there."""
-    at = [index[tid] for tid in sorted(deleted)]
-    kept = rendered.copy()
-    for i in reversed(at):
-        del kept[i]
-    return [rendered[i] for i in at], kept
-
-
 def _cmd_repairs(args, inst):
     cs = _constraints(args, inst)
     reps = (c_repairs if args.kind == "c" else s_repairs)(inst, cs, _hard(args))
-    # Each repair prints every fact, deleted or retained (its retained set is
-    # the instance less its deleted set), so all are rendered once, up front.
-    rendered = [f.render() for f in inst.facts] if reps else []
-    index = {f.tid: i for i, f in enumerate(inst.facts)}
-    split = (_split(rendered, index, r.deleted) for r in reps)
+    facts = _FactTable(inst)
+    # a repair retains every fact it does not delete
+    deleted = (r.deleted for r in reps)
+    split = ((_Facts(d, facts), _Facts(d, facts, rest=True)) for d in deleted)
     if args.format == "json":
         return {
             "kind": args.kind,
             "repairs": [{"deleted": cut, "retained": kept} for cut, kept in split],
         }
     return (
-        f"{args.kind}-repair {i}: deleted {{{', '.join(cut)}}} "
-        f"retained {{{', '.join(kept)}}}"
+        f"{args.kind}-repair {i}: deleted {cut} retained {kept}"
         for i, (cut, kept) in enumerate(split, start=1)
     )
 
 
 def _cmd_causes(args, inst):
     reports = _causes(inst, _query(args), _hard(args))
-    text = _texts(inst)
+    facts = _FactTable(inst)
     if args.format == "json":
         return {
             "causes": [
@@ -145,34 +241,31 @@ def _cmd_causes(args, inst):
                     "responsibility": _rho_json(r.responsibility),
                     "counterfactual": r.is_counterfactual,
                     "most_responsible": r.is_most_responsible,
-                    "contingency_sets": [
-                        _facts(text, g) for g in r.minimal_contingency_sets
-                    ],
+                    "contingency_sets": _FactSets(r.minimal_contingency_sets, facts),
                 }
                 for r in reports
             ]
         }
     return (
-        f"{text(r.tid)}: responsibility={r.responsibility} "
+        f"{facts.text[r.tid]}: responsibility={r.responsibility} "
         f"counterfactual={'yes' if r.is_counterfactual else 'no'} "
         f"most-responsible={'yes' if r.is_most_responsible else 'no'} "
         "contingency-sets=["
-        + ", ".join(_fact_set(text, g) for g in r.minimal_contingency_sets)
+        + ", ".join(_FactSets(r.minimal_contingency_sets, facts))
         + "]"
         for r in reports
     )
 
 
 def _cmd_contingency(args, inst):
-    sets = contingency_sets(inst, _query(args), args.tid)
-    text = _texts(inst)
+    sets = _FactSets(contingency_sets(inst, _query(args), args.tid), _FactTable(inst))
     if args.format == "json":
         return {
             "tid": args.tid,
             "atom": inst.fact(args.tid).atom_text(),
-            "contingency_sets": [_facts(text, g) for g in sets],
+            "contingency_sets": sets,
         }
-    return [_fact_set(text, g) for g in sets]
+    return sets
 
 
 def _cmd_responsibility(args, inst):
@@ -186,19 +279,20 @@ def _cmd_responsibility(args, inst):
     return [f"responsibility({inst.fact(args.tid).render()}) = {value}"]
 
 
-def _tid_list(args, inst, key: str, tids):
-    facts = _facts(_texts(inst), tids)
+def _fact_list(args, inst, key: str, tids):
+    """One fact per line, or the facts as the JSON field `key`."""
+    facts = _Facts(tids, _FactTable(inst))
     return {key: facts} if args.format == "json" else facts
 
 
 def _cmd_counterfactual(args, inst):
     tids = counterfactual_causes(inst, _query(args))
-    return _tid_list(args, inst, "counterfactual_causes", tids)
+    return _fact_list(args, inst, "counterfactual_causes", tids)
 
 
 def _cmd_most_responsible(args, inst):
     tids = most_responsible_causes(inst, _query(args))
-    return _tid_list(args, inst, "most_responsible_causes", tids)
+    return _fact_list(args, inst, "most_responsible_causes", tids)
 
 
 def _cmd_query(args, inst):
@@ -411,29 +505,37 @@ def _check_sources(args) -> None:
         _oracle_guard()
 
 
-class _Encoded(dict):
+def _encoded() -> _Memo:
     """Each string's JSON text, as `json.dumps` writes it (ASCII only),
     encoded once: `memo[s]`. A key that is not a string raises TypeError."""
-
-    def __missing__(self, s):
-        text = self[s] = encode_basestring_ascii(s)
-        return text
+    return _Memo(encode_basestring_ascii)
 
 
-def _flat(value, memo: _Encoded, newline: str) -> str | None:
-    """The JSON text of a scalar or of a list of strings, as one piece;
-    None for a non-empty dict or a list holding another kind of item."""
+def _flat(value, memo: _Memo, newline: str) -> str | None:
+    """The JSON text of a flat value, as one piece: a scalar, a `_Facts` or
+    `_FactSets`, a list of strings, or a dict whose values are all flat.
+    None for any other list or dict."""
     if isinstance(value, str):
         return memo[value]
+    if type(value) in _FACT_VALUES:
+        return value.json(newline)
     if isinstance(value, list):
-        if not value:
-            return "[]"
-        inner = newline + "  "
         try:  # a list of strings, with no test per item
-            items = ("," + inner).join(map(memo.__getitem__, value))
+            items = ("," + newline + "  ").join(map(memo.__getitem__, value))
         except TypeError:  # an item is not a string
             return None
-        return "[" + inner + items + newline + "]"
+        return _json_list(items, newline)
+    if isinstance(value, dict):
+        inner = newline + "  "
+        items = []
+        for key, item in value.items():
+            text = _flat(item, memo, inner)
+            if text is None:
+                return None
+            items.append(memo[key] + ": " + text)  # TypeError if key is no str
+        if not items:
+            return "{}"
+        return "{" + inner + ("," + inner).join(items) + newline + "}"
     if value is None:
         return "null"
     if value is True:
@@ -442,18 +544,17 @@ def _flat(value, memo: _Encoded, newline: str) -> str | None:
         return "false"
     if isinstance(value, int):
         return int.__repr__(value)
-    if isinstance(value, dict):
-        return None if value else "{}"
     raise TypeError(f"{type(value).__name__} is not a JSON value here")
 
 
-def _json_pieces(value, memo: _Encoded, newline: str = "\n") -> Iterator[str]:
+def _json_pieces(value, memo: _Memo, newline: str = "\n") -> Iterator[str]:
     """The text of `json.dumps(value, indent=2)` in pieces, for the values
-    that handlers return: str, int, bool, None, and lists and dicts of them
-    with str keys. Any other value, a dict key that is not a str included,
-    raises TypeError. `newline` is the line break and indent before the
-    value's closing bracket. Each scalar or list of strings is in one piece
-    with the punctuation before it."""
+    that handlers return: str, int, bool, None, `_Facts` and `_FactSets`
+    (as lists of their facts' texts), and lists and dicts of them with str
+    keys. Any other value, a dict key that is not a str included, raises
+    TypeError. `newline` is the line break and indent before the value's
+    closing bracket. Each flat value (`_flat`) is in one piece with the punctuation
+    before it: one piece per repair, or per cause with all its sets."""
     text = _flat(value, memo, newline)
     if text is not None:
         yield text
@@ -475,7 +576,7 @@ def _json_pieces(value, memo: _Encoded, newline: str = "\n") -> Iterator[str]:
     yield newline + close
 
 
-def _report(exc: Exception) -> None:
+def _report(exc: object) -> None:
     """One `error:` line on stderr, or none if stderr's reader has gone too
     (`2>&1 | head`)."""
     try:
@@ -495,7 +596,7 @@ def main(argv: Sequence[str] | None = None) -> int:
             output, code = exc.output, 1
         if args.format == "json":
             write = sys.stdout.write
-            for piece in _json_pieces({"schema": 1, **output}, _Encoded()):
+            for piece in _json_pieces({"schema": 1, **output}, _encoded()):
                 write(piece)
             write("\n")
         else:
@@ -511,6 +612,9 @@ def main(argv: Sequence[str] | None = None) -> int:
         return 2
     except WhydbError as exc:
         _report(exc)
+        return 1
+    except MemoryError:  # an answer too large to hold, such as a long listing
+        _report("out of memory")
         return 1
     return code
 

@@ -32,7 +32,7 @@ inside one component, are past it.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence, Union
+from typing import Callable, Iterable, Iterator, Sequence, Union
 
 from ._scan import Scanner
 from .core import Instance
@@ -81,6 +81,20 @@ class ReferentialConstraint:
         if any(p < 1 for p in self.source_positions + self.target_positions):
             raise ValueError("positions are 1-based")
 
+    def check_positions(self, arity: Callable[[str], int | None]) -> None:
+        """Raise ArityMismatchError if a position lies past the arity of its
+        predicate, the source's checked first. `arity` gives a predicate's
+        arity, or None for one it does not know, whose positions pass."""
+        for name, positions in (
+            (self.source, self.source_positions),
+            (self.target, self.target_positions),
+        ):
+            known = arity(name)
+            if known is not None and max(positions) > known:
+                raise ArityMismatchError(
+                    f"position {max(positions)} out of range for {name}/{known}"
+                )
+
     def render(self) -> str:
         src = ",".join(str(p) for p in self.source_positions)
         tgt = ",".join(str(p) for p in self.target_positions)
@@ -93,15 +107,7 @@ HardConstraint = Union[DC, ReferentialConstraint]
 def satisfies_hard(inst: Instance, constraint: HardConstraint) -> bool:
     """Whether the instance satisfies one hard constraint."""
     if isinstance(constraint, ReferentialConstraint):
-        for name, positions in (
-            (constraint.source, constraint.source_positions),
-            (constraint.target, constraint.target_positions),
-        ):
-            arity = inst.arity(name)
-            if arity is not None and max(positions) > arity:
-                raise ArityMismatchError(
-                    f"position {max(positions)} out of range for {name}/{arity}"
-                )
+        constraint.check_positions(inst.arity)
         targets = {
             tuple(f.args[p - 1] for p in constraint.target_positions)
             for f in inst.of_predicate(constraint.target)
@@ -252,30 +258,37 @@ def _minimal_edges(edges: Iterable[frozenset[int]]) -> list[frozenset[int]]:
 
 
 def _components(edges: Sequence[frozenset[int]]) -> list[list[frozenset[int]]]:
-    """The edges grouped into connected components, linked by shared
-    tuples. Components come in order of their first edge, and keep the
-    edges' order."""
-    holding: dict[int, list[int]] = {}
-    for i, edge in enumerate(edges):
+    """The nonempty edges grouped into connected components, linked by
+    shared tuples. Components come in order of their first edge, and keep
+    the edges' order.
+
+    A union-find over the tuples puts each edge's tuples under one root,
+    then each edge joins the group of its first tuple's root. Each find
+    halves its path (a tuple's parent becomes its grandparent), inline,
+    since a call per tuple would cost more than the rest.
+    """
+    parent: dict[int, int] = {}  # a tuple's parent; a root has none
+    get = parent.get
+    for edge in edges:
+        top = None
         for t in edge:
-            holding.setdefault(t, []).append(i)
-    seen: set[int] = set()
-    out = []
-    for first in range(len(edges)):
-        if first in seen:
-            continue
-        seen.add(first)
-        stack, members = [first], []
-        while stack:
-            i = stack.pop()
-            members.append(i)
-            for t in edges[i]:
-                for j in holding[t]:
-                    if j not in seen:
-                        seen.add(j)
-                        stack.append(j)
-        out.append([edges[i] for i in sorted(members)])
-    return out
+            up = get(t, t)
+            while up != t:
+                parent[t] = t = get(up, up)
+                up = get(t, t)
+            if top is None:
+                top = t
+            elif t != top:
+                parent[t] = top
+    groups: dict[int, list[frozenset[int]]] = {}
+    for edge in edges:
+        t = next(iter(edge))
+        up = get(t, t)
+        while up != t:
+            parent[t] = t = get(up, up)
+            up = get(t, t)
+        groups.setdefault(t, []).append(edge)
+    return list(groups.values())
 
 
 def _fewest_in(component: Sequence[frozenset[int]], what: str | None = None) -> int:

@@ -2,6 +2,7 @@ import gc
 import json
 import os
 import re
+import resource
 import subprocess
 import sys
 import tracemalloc
@@ -16,6 +17,7 @@ from hypothesis import strategies as st
 import whydb
 from whydb import (
     Fact,
+    Instance,
     actual_causes,
     contingency_sets,
     load_instance,
@@ -24,7 +26,16 @@ from whydb import (
     s_repairs,
 )
 from whydb import cli
-from whydb.cli import _Encoded, _json_pieces, build_parser, main
+from whydb.cli import (
+    _encoded,
+    _Facts,
+    _FactSets,
+    _FactTable,
+    _json_pieces,
+    build_parser,
+    main,
+)
+from whydb.core import is_constant
 
 from conftest import D2STAR_TEXT, DSTAR_TEXT, K12_TEXT, QSTAR_TEXT
 
@@ -58,15 +69,16 @@ def run(capsys, argv):
 SRC = Path(whydb.__file__).resolve().parent.parent
 
 
-def _whydb_process(argv, stderr=subprocess.PIPE):
+def _whydb_process(argv, stderr=subprocess.PIPE, **popen):
     """`python -m whydb argv` in a fresh process with piped stdout and
-    stderr (or stderr as given), help wrapped at 80 columns."""
+    stderr (or stderr as given), help wrapped at 80 columns; `popen` goes
+    on to subprocess.Popen."""
     path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
     env = dict(os.environ, PYTHONPATH=path, COLUMNS="80")
     env.pop("WHYDB_ORACLE_GUARD", None)
     return subprocess.Popen(
         [sys.executable, "-m", "whydb", *argv], env=env, text=True,
-        stdout=subprocess.PIPE, stderr=stderr,
+        stdout=subprocess.PIPE, stderr=stderr, **popen,
     )
 
 
@@ -332,27 +344,104 @@ _JSON_STRINGS = st.text(
     ),
     max_size=6,
 )
-_JSON_VALUES = st.recursive(
+_JSON_SCALARS = (
     st.none()
     | st.booleans()
     | st.integers()
     | st.sampled_from([0, -1, 10**40, -(10**40)])
-    | _JSON_STRINGS,
-    lambda inner: st.lists(inner, max_size=4)
-    | st.lists(_JSON_STRINGS, max_size=4)
-    | st.dictionaries(_JSON_STRINGS, inner, max_size=4),
-    max_leaves=24,
+    | _JSON_STRINGS
 )
 
 
+@st.composite
+def _json_values(draw):
+    """A value of the kinds handlers return, and the instance its tid sets
+    are drawn from: facts P(c), with constants that hold what JSON escapes
+    and tids out of file order. Its leaves are scalars, tid sets (`_Facts`,
+    either way round) and lists of them (`_FactSets`)."""
+    constants = draw(
+        st.lists(_JSON_STRINGS.filter(is_constant), min_size=1, max_size=5, unique=True)
+    )
+    tids = draw(
+        st.lists(st.integers(1, 40), min_size=len(constants), max_size=len(constants),
+                 unique=True)
+    )
+    inst = Instance(Fact("P", (c,), t) for c, t in zip(constants, tids))
+    table = _FactTable(inst)
+    tid_sets = st.frozensets(st.sampled_from(tids))
+    facts = st.builds(_Facts, tid_sets, st.just(table), st.booleans()) | st.builds(
+        _FactSets, st.lists(tid_sets, max_size=4), st.just(table)
+    )
+    value = st.recursive(
+        _JSON_SCALARS | facts,
+        lambda inner: st.lists(inner, max_size=4)
+        | st.lists(_JSON_STRINGS, max_size=4)
+        | st.dictionaries(_JSON_STRINGS, inner, max_size=4),
+        max_leaves=24,
+    )
+    return inst, draw(value)
+
+
+def _plain(inst, value):
+    """`value` with each `_Facts` and `_FactSets` as the lists of fact texts
+    it stands for."""
+
+    def texts(tids):
+        return [inst.fact(t).render() for t in sorted(tids)]
+
+    if isinstance(value, _Facts):
+        return texts(inst.tids - value.tids if value.rest else value.tids)
+    if isinstance(value, _FactSets):
+        return [texts(g) for g in value.sets]
+    if isinstance(value, list):
+        return [_plain(inst, item) for item in value]
+    if isinstance(value, dict):
+        return {key: _plain(inst, item) for key, item in value.items()}
+    return value
+
+
 def _json_text(value) -> str:
-    return "".join(_json_pieces(value, _Encoded()))
+    return "".join(_json_pieces(value, _encoded()))
 
 
 @settings(deadline=None, max_examples=300)
-@given(_JSON_VALUES)
-def test_json_pieces_are_json_dumps(value):
-    assert _json_text(value) == json.dumps(value, indent=2)
+@given(_json_values())
+def test_json_pieces_are_json_dumps(case):
+    # tid sets are written as their facts' texts, and a dict of flat values
+    # as one piece wherever it sits: the bytes are still json.dumps's
+    inst, value = case
+    assert _json_text(value) == json.dumps(_plain(inst, value), indent=2)
+
+
+class _Pieces:
+    """Stands in for stdout: keeps every piece written."""
+
+    def __init__(self):
+        self.pieces = []
+
+    def write(self, text: str) -> int:
+        self.pieces.append(text)
+        return len(text)
+
+    def flush(self) -> None:
+        pass
+
+
+def test_json_writes_one_piece_per_repair_and_per_cause(files):
+    # the pieces: `{"schema": 1`, one per further field before the list,
+    # the list's key, one per item, the list's and the document's closing
+    # brackets, and the final newline
+    db = files["dstar.facts"]
+    for argv, items in (
+        (["repairs", "--constraints", files["kq.dc"]], "repairs"),
+        (["repairs", "--constraints", files["kq.dc"], "--kind", "c"], "repairs"),
+        (["causes", "-q", QSTAR_TEXT], "causes"),
+    ):
+        sink = _Pieces()
+        with redirect_stdout(sink):
+            assert main([*argv, "--db", db, "--format", "json"]) == 0
+        doc = json.loads("".join(sink.pieces))
+        assert len(sink.pieces) == len(doc) + len(doc[items]) + 3, argv
 
 
 @pytest.mark.parametrize(
@@ -478,6 +567,16 @@ def test_emit_asp_causality_with_hard(files, capsys):
     assert code == 0
     assert "aux(X) :- s_x(Tp,X,s)." in out
     assert ":- r_x(T,X,Y,s), not aux(X)." in out
+
+
+def test_position_out_of_range_is_one_error_for_every_command(files, tmp_path, capsys):
+    # emit-asp and oracle-check reach the same check, with one error text
+    hard = tmp_path / "wide.ref"
+    hard.write_text("S[2] <= R[1].")
+    base = ["--db", files["dstar.facts"], "-q", QSTAR_TEXT, "--hard", str(hard)]
+    for command in ("emit-asp", "oracle-check", "causes"):
+        code, out, err = run(capsys, [command, *base])
+        assert (code, out, err) == (1, "", "error: position 2 out of range for S/1\n")
 
 
 def test_emit_asp_needs_exactly_one_source(files, capsys):
@@ -726,6 +825,22 @@ def test_deep_join_is_a_budget_error(tmp_path, capsys, no_gc_callbacks):
         assert code == 1 and out == "", command
         assert len(err.splitlines()) == 1 and err.startswith("error: "), command
         assert "1200 atoms" in err and "recursion limit" in err, command
+
+
+def _address_space(limit: int):
+    """A preexec_fn that caps the child's address space at `limit` bytes."""
+    return lambda: resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+
+
+def test_listing_too_large_for_memory_is_one_error_line(tmp_path):
+    # 2**500 S-repairs: the listing grows until it fills the child's 256 MB
+    # address space, which takes about a second
+    db, fds = _fd_pairs(tmp_path, 500, 0)
+    argv = ["repairs", "--kind", "s", "--db", db, "--constraints", fds]
+    with _whydb_process(argv, preexec_fn=_address_space(256 * 2**20)) as proc:
+        out, err = proc.communicate(timeout=60)
+    assert proc.returncode == 1 and out == ""
+    assert err == "error: out of memory\n"
 
 
 def test_exit_code_open_query_precondition(files, capsys):

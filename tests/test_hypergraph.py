@@ -40,6 +40,7 @@ from whydb.repair import (
     S_REPAIR,
     Hypergraph,
     _by_size,
+    _components,
     _fewest,
     _minimal_edges,
     _minimal_hitting_sets,
@@ -204,6 +205,50 @@ def test_per_component_answers_match_one_search_over_the_whole_family(case):
         size = min((1 + _fewest(f - e for f in rest) for e in own), default=0)
         assert graph.fewest_with(t) == size == (len(holding[0]) if holding else 0)
     assert graph.transversals_with(max(inst.tids)) == []
+
+
+def _components_by_search(edges):
+    """The reference for `_components`: a depth-first search over the edges,
+    linked through an index of the edges holding each tuple."""
+    holding = {}
+    for i, edge in enumerate(edges):
+        for t in edge:
+            holding.setdefault(t, []).append(i)
+    seen = set()
+    out = []
+    for first in range(len(edges)):
+        if first in seen:
+            continue
+        seen.add(first)
+        stack, members = [first], []
+        while stack:
+            i = stack.pop()
+            members.append(i)
+            for t in edges[i]:
+                for j in holding[t]:
+                    if j not in seen:
+                        seen.add(j)
+                        stack.append(j)
+        out.append([edges[i] for i in sorted(members)])
+    return out
+
+
+@settings(deadline=None, max_examples=500)
+@given(
+    st.lists(st.frozensets(st.integers(1, 30), min_size=1, max_size=4), max_size=20)
+    | st.builds(
+        # a path with its edges in a seeded order, which can chain the roots
+        lambda n, seed: random.Random(seed).sample(
+            [frozenset({i, i + 1}) for i in range(1, n)], n - 1
+        ),
+        st.integers(1, 60),
+        st.integers(0, 1000),
+    )
+)
+def test_components_match_the_search(edges):
+    """The same components, in order of their first edge and with the edges
+    in their given order, repeated edges included."""
+    assert _components(edges) == _components_by_search(edges)
 
 
 def test_fd_1100_fewest_with_every_tid():

@@ -5,7 +5,10 @@ from hypothesis import strategies as st
 from whydb import (
     DC,
     ArityMismatchError,
+    AspDialect,
     BudgetExceededError,
+    CausalityOptions,
+    EmitError,
     IrreparableError,
     ParseError,
     Repair,
@@ -14,6 +17,7 @@ from whydb import (
     brute_repairs,
     c_repairs,
     classify_subset,
+    emit_causality_program,
     load_instance,
     negate_query,
     parse_constraints,
@@ -285,6 +289,31 @@ def test_referential_position_out_of_range(dstar, kq):
     hard = parse_hard_constraints("R[3] <= S[1].")
     with pytest.raises(ArityMismatchError):
         s_repairs(dstar, kq, hard)
+
+
+@pytest.mark.parametrize(
+    "text, error, message",
+    [
+        ("R[3] <= S[1].", ArityMismatchError, "position 3 out of range for R/2"),
+        ("S[1] <= R[3].", ArityMismatchError, "position 3 out of range for R/2"),
+        # the source is checked first; the repair filter lets an unknown
+        # predicate pass, and the emitter rejects it
+        ("S[2] <= Z[1].", ArityMismatchError, "position 2 out of range for S/1"),
+        ("Z[1] <= S[2].", EmitError, "unknown arity for predicate 'Z' in hard constraint"),
+    ],
+)
+def test_repairs_and_programs_share_the_position_check(
+    dstar, qstar, kq, text, error, message
+):
+    """Repairs and emitted programs reject a position past its predicate's
+    arity by one check, with one error type and text."""
+    hard = parse_hard_constraints(text)
+    if error is ArityMismatchError:
+        with pytest.raises(error, match=f"^{message}$"):
+            s_repairs(dstar, kq, hard)
+    opts = CausalityOptions(hard_constraints=tuple(hard))
+    with pytest.raises(error, match=f"^{message}$"):
+        emit_causality_program(dstar, qstar, AspDialect.EXTENDED, opts)
 
 
 def test_repairs_deterministic(dstar, kq):
