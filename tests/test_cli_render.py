@@ -5,13 +5,10 @@ inputs with exogenous tuples and with explicit tids out of file order. A
 repair's retained facts are cut from every fact joined once, so tid order,
 not file order, must decide where each cut falls."""
 
-import importlib.util
 import json
 import random
-import sys
 from contextlib import redirect_stdout
 from io import StringIO
-from pathlib import Path
 
 import pytest
 
@@ -26,26 +23,13 @@ from whydb import (
 )
 from whydb.cli import main
 
-BENCH = Path(__file__).resolve().parent.parent / "bench"
+from conftest import load_bench
+
 CHAIN_QUERY = "q :- S(x), R(x,y), S(y)."
 CHAIN_DC = ":- S(x), R(x,y), S(y)."
 FD_QUERY = "q :- T(x,y), T(x,z), y != z."
 FD_DC = "fd T: 1 -> 2."
-
-
-def _chain_causes():
-    """The benchmark's chain-causes module, with the benchmark directory on
-    the path only while its own imports run."""
-    spec = importlib.util.spec_from_file_location(
-        "bench_chain_causes_render", BENCH / "chain_causes.py"
-    )
-    module = importlib.util.module_from_spec(spec)
-    sys.path.insert(0, str(BENCH))
-    try:
-        spec.loader.exec_module(module)
-    finally:
-        sys.path.remove(str(BENCH))
-    return module
+chain_causes = load_bench("chain_causes")
 
 
 def _chains(n):
@@ -53,7 +37,7 @@ def _chains(n):
     the one it runs (the median shuffle)."""
     return [
         "".join(f"{p}({','.join(args)}).\n" for p, args in facts)
-        for _, facts in _chain_causes().shuffles(n)
+        for _, facts in chain_causes.shuffles(n)
     ]
 
 

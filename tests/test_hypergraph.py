@@ -4,12 +4,9 @@ full list of S-repairs, and both must agree on random hypergraphs. Then the
 sizes the enumeration route cannot reach, checked against the benchmark's
 own hitting-set arithmetic."""
 
-import importlib.util
 import random
-import sys
 from fractions import Fraction
 from math import prod
-from pathlib import Path
 
 import pytest
 from hypothesis import assume, given, settings
@@ -46,25 +43,10 @@ from whydb.repair import (
     _minimal_hitting_sets,
 )
 
-BENCH = Path(__file__).resolve().parent.parent / "bench"
+from conftest import load_bench
 
-
-def _load_bench(name):
-    """Load a benchmark module by file, with the benchmark directory on the
-    path only while its own imports run."""
-    spec = importlib.util.spec_from_file_location(f"bench_{name}", BENCH / f"{name}.py")
-    module = importlib.util.module_from_spec(spec)
-    sys.modules[spec.name] = module
-    sys.path.insert(0, str(BENCH))
-    try:
-        spec.loader.exec_module(module)
-    finally:
-        sys.path.remove(str(BENCH))
-    return module
-
-
-hypergraph = _load_bench("hypergraph")
-chain_causes = _load_bench("chain_causes")
+hypergraph = load_bench("hypergraph")
+chain_causes = load_bench("chain_causes")
 
 
 @st.composite
