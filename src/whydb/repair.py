@@ -21,7 +21,8 @@ reaches only minimal hitting sets. From the hypergraph come the S-repairs,
 the C-repairs, the S-repairs holding one tuple, and the smallest of those.
 `s_repairs` lists them all, less those breaking a hard constraint, which
 judges a whole repair; `c_repairs` with hard constraints keeps the smallest
-of those.
+of those. A `Repair` they return stores its deletion set and builds its
+retained set the first time it is read, from the instance's tids.
 
 The search nests one step per chosen tuple, and the product one step per
 component. Nesting deeper than the recursion limit raises
@@ -31,7 +32,7 @@ inside one component, are past it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import FrozenInstanceError, dataclass
 from typing import Callable, Iterable, Iterator, Sequence, Union
 
 from ._scan import Scanner
@@ -57,10 +58,57 @@ S_REPAIR = "s_repair"
 C_REPAIR = "c_repair"
 
 
-@dataclass(frozen=True)
 class Repair:
-    retained: frozenset[int]
-    deleted: frozenset[int]
+    """A repair: the tids it retains and the tids it deletes.
+
+    It behaves as a frozen dataclass of these two fields: the same
+    constructor, `==`, `hash`, `repr` and match arguments, and assigning
+    an attribute raises FrozenInstanceError. A repair built by `s_repairs`
+    or `c_repairs` holds its deletion set and the instance's tids, which
+    all its repairs share, and builds `retained` the first time it is
+    read: most callers read only `deleted`, and the retained sets would
+    take most of a listing's memory.
+    """
+
+    __slots__ = ("deleted", "_retained", "_tids")
+    __match_args__ = ("retained", "deleted")
+
+    def __init__(self, retained: frozenset[int], deleted: frozenset[int]):
+        _init(self, deleted, retained, None)
+
+    @property
+    def retained(self) -> frozenset[int]:
+        if self._tids is not None:
+            _init(self, self.deleted, self._tids - self.deleted, None)
+        return self._retained
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.retained, self.deleted) == (other.retained, other.deleted)
+
+    def __hash__(self):
+        return hash((self.retained, self.deleted))
+
+    def __repr__(self):
+        name = type(self).__qualname__
+        return f"{name}(retained={self.retained!r}, deleted={self.deleted!r})"
+
+    def __setattr__(self, name, value):
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return (type(self), (self.retained, self.deleted))
+
+
+def _init(repair: Repair, deleted, retained, tids) -> None:
+    """Set a repair's slots, past its frozen `__setattr__`."""
+    object.__setattr__(repair, "deleted", deleted)
+    object.__setattr__(repair, "_retained", retained)
+    object.__setattr__(repair, "_tids", tids)
 
 
 @dataclass(frozen=True)
@@ -201,7 +249,10 @@ def _minimal_hitting_sets(
         if not open_edges:
             yield chosen
             return
-        free = [edge - banned for edge in open_edges] if banned else open_edges
+        # only the edges that meet `banned` lose elements; the rest are reused
+        free = open_edges
+        if banned:
+            free = [e if banned.isdisjoint(e) else e - banned for e in open_edges]
         if most is not None and len(chosen) + _disjoint_count(free) > most:
             return
         blocked = banned
@@ -406,8 +457,15 @@ class Hypergraph:
 
 
 def _repairs(inst: Instance, deleted: Iterable[frozenset[int]]) -> list[Repair]:
-    """The repairs deleting each set, sorted by (deletion count, tids)."""
-    return [Repair(inst.tids - d, d) for d in sorted(deleted, key=_by_size)]
+    """The repairs deleting each set, sorted by (deletion count, tids). Each
+    holds the instance's one tids set and builds its retained set when read."""
+    tids = inst.tids
+    out = []
+    for d in sorted(deleted, key=_by_size):
+        r = Repair.__new__(Repair)
+        _init(r, d, None, tids)
+        out.append(r)
+    return out
 
 
 def s_repairs(

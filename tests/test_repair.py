@@ -1,3 +1,8 @@
+import copy
+import pickle
+import tracemalloc
+from dataclasses import FrozenInstanceError
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -344,3 +349,126 @@ def test_classify_subset_matches_oracle_on_corpus():
             assert classify_subset(inst, cs, keep) == want, (inst.to_text(), q, keep)
             classified += 1
     assert classified > 1000
+
+
+def test_repair_contract_holds_for_listed_and_built_repairs(dstar, kq):
+    """A repair from `s_repairs`, which builds `retained` on first read, and
+    one built from both sets act as one frozen dataclass value."""
+    listed = s_repairs(dstar, kq)[1]
+    built = Repair(dstar.tids - listed.deleted, listed.deleted)
+    assert listed == built and built == listed
+    assert not (listed != built)
+    assert hash(listed) == hash(built) == hash((built.retained, built.deleted))
+    assert len({listed, built}) == 1
+    assert listed != Repair(built.retained, frozenset())
+    assert Repair.__eq__(listed, (built.retained, built.deleted)) is NotImplemented
+    text = "Repair(retained=frozenset({2, 4, 5, 6}), deleted=frozenset({1, 3}))"
+    for r in (listed, built):
+        assert repr(r) == text
+        for name in ("retained", "deleted", "other"):
+            with pytest.raises(FrozenInstanceError):
+                setattr(r, name, frozenset())
+        with pytest.raises(FrozenInstanceError):
+            del r.deleted
+        for twin in (pickle.loads(pickle.dumps(r)), copy.copy(r), copy.deepcopy(r)):
+            assert twin == r and type(twin) is Repair
+        by_name = by_place = None
+        match r:
+            case Repair(retained=kept, deleted=gone):
+                by_name = (kept, gone)
+        match r:
+            case Repair(kept, gone):
+                by_place = (kept, gone)
+        assert by_name == by_place == (built.retained, built.deleted)
+    assert Repair(retained=built.retained, deleted=built.deleted) == built
+    assert Repair(built.retained, built.deleted).retained is built.retained
+
+
+def _retained_checked(inst, repairs):
+    for r in repairs:
+        assert r.retained == inst.tids - r.deleted
+        assert r.retained is r.retained
+    return repairs
+
+
+def _fd_keys(k, extra=()):
+    """k keys with two values each under `fd T: 1 -> 2.`, the first key's
+    first tuple exogenous, k+1 clean keys, then the extra facts."""
+    facts = ["@exo T(k0,a0)."] + [f"T(k{i},a{i})." for i in range(1, k)]
+    facts += [f"T(k{i},b{i})." for i in range(k)]
+    facts += [f"T(c{i},v)." for i in range(k + 1)]
+    inst = load_instance("\n".join(facts + list(extra)))
+    return inst, parse_constraints("fd T: 1 -> 2.", inst)
+
+
+def test_retained_is_every_tid_but_the_deleted_on_corpus():
+    checked = 0
+    for inst, q in corpus(200):
+        cs = negate_query(q)
+        try:
+            listed = _retained_checked(inst, s_repairs(inst, cs))
+        except IrreparableError:
+            continue
+        _retained_checked(inst, c_repairs(inst, cs))
+        checked += len(listed)
+    assert checked > 200
+
+
+@pytest.mark.parametrize("k", range(13))
+def test_retained_is_every_tid_but_the_deleted_on_fd_keys(k):
+    inst, cs = _fd_keys(k)
+    assert len(_retained_checked(inst, s_repairs(inst, cs))) == 2 ** max(k - 1, 0)
+    _retained_checked(inst, c_repairs(inst, cs))
+
+
+@pytest.mark.parametrize(
+    "hard",
+    [
+        "R[1] <= S[1].",
+        ":- S(x), S(y), x != y.",
+        "S[1] <= R[2].",
+        "R[1] <= S[1].\n:- R(x,y), R(y,x).",
+    ],
+)
+def test_retained_is_every_tid_but_the_deleted_under_hard_constraints(
+    dstar, kq, hard
+):
+    hard = parse_hard_constraints(hard)
+    _retained_checked(dstar, s_repairs(dstar, kq, hard))
+    _retained_checked(dstar, c_repairs(dstar, kq, hard))
+
+
+@pytest.mark.parametrize("hard", ["T[2] <= A[1].", ":- T(x,y), B(y)."])
+def test_retained_on_fd_keys_under_hard_constraints(hard):
+    # A holds every value but b0 and b2..b5; B holds b3 and b4
+    extra = [f"@exo A({v})." for v in ("a0", "a1", "a2", "a3", "a4", "a5", "b1", "v")]
+    extra += ["@exo B(b3).", "@exo B(b4)."]
+    inst, cs = _fd_keys(6, extra)
+    kept = _retained_checked(inst, s_repairs(inst, cs, parse_hard_constraints(hard)))
+    assert 0 < len(kept) < 2**5
+    _retained_checked(inst, c_repairs(inst, cs, parse_hard_constraints(hard)))
+
+
+def test_s_repairs_memory_peak_on_many_repairs():
+    """2048 S-repairs of 203 facts, the shape of the fd-repairs benchmark's
+    largest input: 11 conflicting keys (6 pairs, 5 stars) under two FDs and
+    176 clean keys. Each repair holds its deletion set, not a copy of the
+    other 190-odd tids, so the listing peaks near 1.7 MB, where retained
+    sets built for every repair would take about 19 MB."""
+    rows = [("a0", "b0", "c0"), ("a1", "b0", "c1")]
+    star = [("a1", "b0", "c0"), ("a0", "b0", "c1"), ("a0", "b0", "c2")]
+    facts = [
+        f"T(k{i},{a},{b},{c})." for i in range(11) for a, b, c in (rows if i < 6 else star)
+    ]
+    facts += [f"T(c{i},v,v,v)." for i in range(176)]
+    inst = load_instance("\n".join(facts))
+    cs = parse_constraints("fd T: 1 -> 2.\nfd T: 1 -> 3.", inst)
+    assert len(inst) == 203
+    tracemalloc.start()
+    try:
+        found = s_repairs(inst, cs)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(found) == 2048
+    assert peak < 6_000_000, f"s_repairs peaked at {peak / 1e6:.1f} MB"
