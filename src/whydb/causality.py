@@ -31,6 +31,7 @@ from .query import UCQ, eval_bcq, negate_query, violations
 from .repair import (
     HardConstraint,
     Hypergraph,
+    ReferentialConstraint,
     c_repairs,
     s_repairs,
     satisfies_hard,
@@ -114,14 +115,15 @@ def causes_under_ics(
     """Causes when every involved database must satisfy the hard constraints:
     repairs violating them are discarded and responsibilities recomputed.
 
-    The instance itself must satisfy the constraints.
+    The instance itself must satisfy the constraints, so each DC among them
+    holds in every sub-instance and only referential constraints filter.
     """
     for constraint in hard:
         if not satisfies_hard(inst, constraint):
             raise PreconditionError(
                 f"instance violates hard constraint {constraint.render()}"
             )
-    return _reports(inst, q, tuple(hard))
+    return _reports(inst, q, [h for h in hard if isinstance(h, ReferentialConstraint)])
 
 
 def contingency_sets(inst: Instance, q: UCQ, t: int) -> list[frozenset[int]]:

@@ -21,7 +21,7 @@ reaches only minimal hitting sets. From the hypergraph come the S-repairs,
 the C-repairs, the S-repairs holding one tuple, and the smallest of those.
 `s_repairs` lists them all, less those breaking a hard constraint, which
 judges a whole repair; `c_repairs` with hard constraints keeps the smallest
-of those. A `Repair` they return stores its deletion set and builds its
+of those. A `Repair` they return stores its deletion set and fills in its
 retained set the first time it is read, from the instance's tids.
 
 The search nests one step per chosen tuple, and the product one step per
@@ -32,7 +32,7 @@ inside one component, are past it.
 
 from __future__ import annotations
 
-from dataclasses import FrozenInstanceError, dataclass
+from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, Sequence, Union
 
 from ._scan import Scanner
@@ -58,57 +58,22 @@ S_REPAIR = "s_repair"
 C_REPAIR = "c_repair"
 
 
+@dataclass(frozen=True)
 class Repair:
-    """A repair: the tids it retains and the tids it deletes.
+    """A repair: the tids it retains and the tids it deletes. One listed by
+    `s_repairs` or `c_repairs` stores its deletion set and the instance's
+    tids, which all its repairs share, and fills in `retained` the first
+    time it is read: most callers read only `deleted`, and the retained
+    sets would take most of a listing's memory."""
 
-    It behaves as a frozen dataclass of these two fields: the same
-    constructor, `==`, `hash`, `repr` and match arguments, and assigning
-    an attribute raises FrozenInstanceError. A repair built by `s_repairs`
-    or `c_repairs` holds its deletion set and the instance's tids, which
-    all its repairs share, and builds `retained` the first time it is
-    read: most callers read only `deleted`, and the retained sets would
-    take most of a listing's memory.
-    """
+    retained: frozenset[int]
+    deleted: frozenset[int]
 
-    __slots__ = ("deleted", "_retained", "_tids")
-    __match_args__ = ("retained", "deleted")
-
-    def __init__(self, retained: frozenset[int], deleted: frozenset[int]):
-        _init(self, deleted, retained, None)
-
-    @property
-    def retained(self) -> frozenset[int]:
-        if self._tids is not None:
-            _init(self, self.deleted, self._tids - self.deleted, None)
-        return self._retained
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.retained, self.deleted) == (other.retained, other.deleted)
-
-    def __hash__(self):
-        return hash((self.retained, self.deleted))
-
-    def __repr__(self):
-        name = type(self).__qualname__
-        return f"{name}(retained={self.retained!r}, deleted={self.deleted!r})"
-
-    def __setattr__(self, name, value):
-        raise FrozenInstanceError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name):
-        raise FrozenInstanceError(f"cannot delete field {name!r}")
-
-    def __reduce__(self):
-        return (type(self), (self.retained, self.deleted))
-
-
-def _init(repair: Repair, deleted, retained, tids) -> None:
-    """Set a repair's slots, past its frozen `__setattr__`."""
-    object.__setattr__(repair, "deleted", deleted)
-    object.__setattr__(repair, "_retained", retained)
-    object.__setattr__(repair, "_tids", tids)
+    def __getattr__(self, name: str):
+        if name != "retained":
+            raise AttributeError(f"'Repair' object has no attribute {name!r}")
+        object.__setattr__(self, "retained", self._tids - self.deleted)
+        return self.retained
 
 
 @dataclass(frozen=True)
@@ -458,12 +423,13 @@ class Hypergraph:
 
 def _repairs(inst: Instance, deleted: Iterable[frozenset[int]]) -> list[Repair]:
     """The repairs deleting each set, sorted by (deletion count, tids). Each
-    holds the instance's one tids set and builds its retained set when read."""
+    holds the instance's one tids set and fills in its retained set when read."""
     tids = inst.tids
     out = []
     for d in sorted(deleted, key=_by_size):
-        r = Repair.__new__(Repair)
-        _init(r, d, None, tids)
+        r = object.__new__(Repair)
+        object.__setattr__(r, "deleted", d)
+        object.__setattr__(r, "_tids", tids)
         out.append(r)
     return out
 

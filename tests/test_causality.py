@@ -257,6 +257,12 @@ CORPUS_HARD = {
     "referential": "Q[1] <= P[1].",
     "dc": ":- Q(x,y), Q(y,x), x != y.",
     "mixed": "R[1,2] <= Q[1,2].\n:- P(x), Q(x,x).",
+    # an instance that satisfies a DC has every sub-instance satisfy it, so
+    # `causes_under_ics` lets only the referential constraint filter
+    "dc-symmetric+ref": ":- Q(x,y), Q(y,x), x != y.\nQ[1] <= P[1].",
+    "dc-loop+ref": ":- P(x), Q(x,x).\nQ[1] <= P[1].",
+    "dc-join+ref": ":- R(x,y,z), P(z).\nQ[1] <= P[1].",
+    "dc-fd+ref": ":- Q(x,y), Q(x,z), y != z.\nQ[1] <= P[1].",
 }
 
 

@@ -1,4 +1,5 @@
 import copy
+import dataclasses
 import pickle
 import tracemalloc
 from dataclasses import FrozenInstanceError
@@ -352,10 +353,19 @@ def test_classify_subset_matches_oracle_on_corpus():
 
 
 def test_repair_contract_holds_for_listed_and_built_repairs(dstar, kq):
-    """A repair from `s_repairs`, which builds `retained` on first read, and
-    one built from both sets act as one frozen dataclass value."""
+    """A repair from `s_repairs`, which fills in `retained` on first read,
+    and one built from both sets act as one frozen dataclass value."""
+    built = Repair(dstar.tids - {1, 3}, frozenset({1, 3}))
+    # copies of listed repairs whose `retained` nothing has read yet
+    unread = [s_repairs(dstar, kq)[1] for _ in range(3)]
+    twins = [
+        pickle.loads(pickle.dumps(unread[0])),
+        copy.copy(unread[1]),
+        copy.deepcopy(unread[2]),
+    ]
+    for twin, original in zip(twins, unread):
+        assert twin == built == original and type(twin) is Repair
     listed = s_repairs(dstar, kq)[1]
-    built = Repair(dstar.tids - listed.deleted, listed.deleted)
     assert listed == built and built == listed
     assert not (listed != built)
     assert hash(listed) == hash(built) == hash((built.retained, built.deleted))
@@ -380,6 +390,16 @@ def test_repair_contract_holds_for_listed_and_built_repairs(dstar, kq):
             case Repair(kept, gone):
                 by_place = (kept, gone)
         assert by_name == by_place == (built.retained, built.deleted)
+        assert dataclasses.is_dataclass(r)
+        assert [f.name for f in dataclasses.fields(r)] == ["retained", "deleted"]
+        assert dataclasses.asdict(r) == {
+            "retained": built.retained,
+            "deleted": built.deleted,
+        }
+        assert dataclasses.astuple(r) == (built.retained, built.deleted)
+        assert dataclasses.replace(r) == built
+        emptied = dataclasses.replace(r, deleted=frozenset())
+        assert emptied == Repair(built.retained, frozenset())
     assert Repair(retained=built.retained, deleted=built.deleted) == built
     assert Repair(built.retained, built.deleted).retained is built.retained
 
