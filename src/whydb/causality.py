@@ -13,8 +13,11 @@ and `responsibility` only the size of a smallest one. `dif_c` and
 `most_responsible_causes` read `c_repairs`, which finds the minimum
 hitting sets directly. Only `actual_causes` and `causes_under_ics` list
 every S-repair: they report every cause, and hard constraints judge whole
-repairs. Every list of differences is a product over the hypergraph's
-connected components, and every size a sum over them. The product nests
+repairs. A report they return holds the S-repair differences with its
+tuple, the very sets `s_repairs` listed, shared between the causes, and
+builds its contingency sets from them the first time they are read. Every
+list of differences is a product over the hypergraph's connected
+components, and every size a sum over them. The product nests
 one step per component, so about a thousand components, or a thousand
 deletions inside one, raise BudgetExceededError.
 """
@@ -48,11 +51,27 @@ class DiffSet:
 
 @dataclass(frozen=True)
 class CauseReport:
+    """An actual cause: its tid, its responsibility and its subset-minimal
+    contingency sets, sorted by (size, tids). One from `actual_causes` or
+    `causes_under_ics` stores the S-repair differences that hold its tid,
+    which other causes share, and fills in `minimal_contingency_sets`, each
+    difference less the tid, the first time it is read: the CLI prints the
+    sets from the differences, and building them would take most of the
+    causes' memory."""
+
     tid: int
     responsibility: Fraction
     minimal_contingency_sets: tuple[frozenset[int], ...]
     is_counterfactual: bool
     is_most_responsible: bool
+
+    def __getattr__(self, name: str):
+        if name != "minimal_contingency_sets":
+            raise AttributeError(f"'CauseReport' object has no attribute {name!r}")
+        t = self.tid
+        sets = tuple(d - {t} for d in self._differences)
+        object.__setattr__(self, "minimal_contingency_sets", sets)
+        return sets
 
     def minimum_contingency_sets(self) -> tuple[frozenset[int], ...]:
         """Only the globally smallest contingency sets, of size
@@ -61,6 +80,17 @@ class CauseReport:
         return tuple(
             g for g in self.minimal_contingency_sets if len(g) == smallest
         )
+
+
+def _differences(report: CauseReport) -> Sequence[frozenset[int]]:
+    """The S-repair differences that hold the report's tid, in the order of
+    its contingency sets: the stored ones of a listed report, each set with
+    the tid for one built from its sets (such as the oracle's)."""
+    stored = vars(report).get("_differences")
+    if stored is not None:
+        return stored
+    t = report.tid
+    return [g | {t} for g in report.minimal_contingency_sets]
 
 
 def dif_s(inst: Instance, q: UCQ, t: int) -> list[DiffSet]:
@@ -81,24 +111,26 @@ def dif_c(inst: Instance, q: UCQ, t: int) -> list[DiffSet]:
 def _reports(
     inst: Instance, q: UCQ, hard: Sequence[HardConstraint]
 ) -> list[CauseReport]:
-    """One report per tuple in some S-repair difference. The differences
-    come sorted by (size, tids), and removing t from each keeps that order,
-    so every tuple's contingency sets arrive sorted and distinct."""
+    """One report per tuple in some S-repair difference, holding the
+    differences with that tuple. The differences come sorted by
+    (size, tids), and removing t from each keeps that order, so every
+    tuple's contingency sets come out sorted and distinct."""
     diffs = [r.deleted for r in s_repairs(inst, negate_query(q), hard) if r.deleted]
-    gammas: dict[int, list[frozenset[int]]] = {}
+    held: dict[int, list[frozenset[int]]] = {}
     for d in diffs:
         for t in d:
-            gammas.setdefault(t, []).append(d - {t})
-    reports = [
-        CauseReport(
+            held.setdefault(t, []).append(d)
+    reports = []
+    for t, mine in held.items():
+        r = object.__new__(CauseReport)
+        vars(r).update(
             tid=t,
-            responsibility=Fraction(1, len(sets[0]) + 1),
-            minimal_contingency_sets=tuple(sets),
-            is_counterfactual=not sets[0],
-            is_most_responsible=len(sets[0]) + 1 == len(diffs[0]),
+            responsibility=Fraction(1, len(mine[0])),
+            is_counterfactual=len(mine[0]) == 1,
+            is_most_responsible=len(mine[0]) == len(diffs[0]),
+            _differences=tuple(mine),
         )
-        for t, sets in gammas.items()
-    ]
+        reports.append(r)
     reports.sort(key=lambda r: (-r.responsibility, r.tid))
     return reports
 

@@ -20,8 +20,10 @@ call time, so a caller may rebind them (the benchmark's tracer does).
 Each handler prints facts through one fact table (`_FactTable`), which
 renders a fact, and encodes its JSON string, the first time it is printed.
 Handlers return tid sets, not lists of strings: `_Facts` (one set) and
-`_FactSets` (a list of sets). A printed set costs one sort and one join,
-and a repair's retained facts, every fact but its k deletions, are k+1
+`_FactSets` (a list of sets). A printed set costs one sort and one join. A
+cause's contingency set is printed from its S-repair difference with the
+cause's tid left out, and each difference is sorted once however many
+causes it holds. A repair's retained facts, every fact but its k deletions, are k+1
 slices of every fact joined once per format. The JSON writer puts each flat
 value (`_flat`) in one piece: one piece per repair, and one per cause with
 all its contingency sets.
@@ -41,6 +43,7 @@ from typing import Callable, Iterator, Sequence
 from ._version import __version__
 from .asp import AspDialect, CausalityOptions, emit_causality_program, emit_repair_program
 from .causality import (
+    _differences,
     actual_causes,
     causes_under_ics,
     contingency_sets,
@@ -116,12 +119,18 @@ class _FactTable:
         self._inst = inst
         self.text = _Memo(lambda tid: inst.fact(tid).render())
         self.json = _Memo(lambda tid: encode_basestring_ascii(self.text[tid]))
+        self._sorted = _Memo(sorted)
         self._place: dict[int, int] = {}
         self._every: dict[str, tuple[str, list[int]]] = {}
 
-    def join(self, tids, texts: _Memo, sep: str) -> str:
-        """The texts of the facts `tids`, in tid order, joined by `sep`."""
-        return sep.join(map(texts.__getitem__, sorted(tids)))
+    def join(self, tids, texts: _Memo, sep: str, without: int | None = None) -> str:
+        """The texts of the facts `tids`, in tid order, joined by `sep`; with
+        `without`, the facts but that one. A set printed without a tid is an
+        S-repair difference that each of its causes prints, so its sorted
+        tids are kept for the next."""
+        if without is None:
+            return sep.join(map(texts.__getitem__, sorted(tids)))
+        return sep.join([texts[u] for u in self._sorted[tids] if u != without])
 
     def join_without(self, deleted, texts: _Memo, sep: str) -> str:
         """The texts of every fact but `deleted`, in tid order, joined by
@@ -141,10 +150,6 @@ class _FactTable:
         end = len(sep)
         runs = [(a + 1, b) for a, b in pairwise(cuts) if b > a + 1]
         return sep.join([joined[starts[i] : starts[j] - end] for i, j in runs])
-
-    def braced(self, tids) -> str:
-        """The text form of a set of facts: `{R(a,b)#1, S(a)#2}`."""
-        return "{" + self.join(tids, self.text, ", ") + "}"
 
 
 def _json_list(items: str, newline: str) -> str:
@@ -182,23 +187,27 @@ class _Facts:
 
 
 class _FactSets:
-    """A list of tid sets, each printed as the facts it holds: one text per
-    set when iterated, and as a JSON list of lists of strings by `_flat`.
-    One object for the whole list, however long."""
+    """A list of tid sets, each printed as the facts it holds but `without`
+    (if given): in braces, one text per set, when iterated, and as a JSON
+    list of lists of strings by `_flat`. One object for the whole list,
+    however long."""
 
-    __slots__ = ("sets", "table")
+    __slots__ = ("sets", "table", "without")
 
-    def __init__(self, sets, table: _FactTable):
+    def __init__(self, sets, table: _FactTable, without: int | None = None):
         self.sets = sets
         self.table = table
+        self.without = without
 
     def __iter__(self) -> Iterator[str]:
-        return map(self.table.braced, self.sets)
+        join, text, without = self.table.join, self.table.text, self.without
+        return ("{" + join(g, text, ", ", without) + "}" for g in self.sets)
 
     def json(self, newline: str) -> str:
-        table, inner = self.table, newline + "  "
+        join, texts, without = self.table.join, self.table.json, self.without
+        inner = newline + "  "
         sep = "," + inner + "  "
-        lists = [_json_list(table.join(g, table.json, sep), inner) for g in self.sets]
+        lists = [_json_list(join(g, texts, sep, without), inner) for g in self.sets]
         return _json_list(("," + inner).join(lists), newline)
 
 
@@ -232,6 +241,10 @@ def _cmd_repairs(args, inst):
 def _cmd_causes(args, inst):
     reports = _causes(inst, _query(args), _hard(args))
     facts = _FactTable(inst)
+
+    def sets(r):  # each contingency set is a difference without the cause
+        return _FactSets(_differences(r), facts, r.tid)
+
     if args.format == "json":
         return {
             "causes": [
@@ -241,7 +254,7 @@ def _cmd_causes(args, inst):
                     "responsibility": _rho_json(r.responsibility),
                     "counterfactual": r.is_counterfactual,
                     "most_responsible": r.is_most_responsible,
-                    "contingency_sets": _FactSets(r.minimal_contingency_sets, facts),
+                    "contingency_sets": sets(r),
                 }
                 for r in reports
             ]
@@ -251,7 +264,7 @@ def _cmd_causes(args, inst):
         f"counterfactual={'yes' if r.is_counterfactual else 'no'} "
         f"most-responsible={'yes' if r.is_most_responsible else 'no'} "
         "contingency-sets=["
-        + ", ".join(_FactSets(r.minimal_contingency_sets, facts))
+        + ", ".join(sets(r))
         + "]"
         for r in reports
     )

@@ -1,8 +1,14 @@
+import copy
+import dataclasses
+import pickle
+import tracemalloc
+from dataclasses import FrozenInstanceError
 from fractions import Fraction
 
 import pytest
 
 from whydb import (
+    CauseReport,
     Fact,
     Instance,
     IrreparableError,
@@ -30,7 +36,7 @@ from whydb import (
 )
 from whydb.oracle import _hard_ok
 
-from conftest import QSTAR_TEXT
+from conftest import QSTAR_TEXT, load_bench
 from corpus import corpus
 
 HALF = Fraction(1, 2)
@@ -217,6 +223,110 @@ def test_responsibility_formula_invariant(dstar, qstar):
 def test_minimum_contingency_sets_helper(dstar, qstar):
     report = next(r for r in actual_causes(dstar, qstar) if r.tid == 3)
     assert report.minimum_contingency_sets() == (frozenset({1}), frozenset({4}))
+
+
+def _unread(report):
+    return "minimal_contingency_sets" not in vars(report)
+
+
+def test_cause_report_contract_holds_for_listed_and_built_reports(dstar, qstar):
+    """A report from `actual_causes`, which fills in its contingency sets on
+    first read, and one built from its values act as one frozen dataclass
+    value."""
+    sets = (frozenset({1}), frozenset({4}))
+    built = CauseReport(3, HALF, sets, False, False)
+    values = (3, HALF, sets, False, False)
+
+    def listed():
+        return next(r for r in actual_causes(dstar, qstar) if r.tid == 3)
+
+    # copies of listed reports whose contingency sets nothing has read yet
+    unread = [listed() for _ in range(4)]
+    assert all(map(_unread, unread))
+    twins = [
+        pickle.loads(pickle.dumps(unread[0])),
+        copy.copy(unread[1]),
+        copy.deepcopy(unread[2]),
+    ]
+    for twin, original in zip(twins, unread):
+        assert twin == built == original and type(twin) is CauseReport
+    assert unread[3].minimum_contingency_sets() == sets
+    report = listed()
+    assert report == built and built == report
+    assert not (report != built)
+    assert hash(report) == hash(built) == hash(values)
+    assert len({report, built}) == 1
+    assert report != CauseReport(3, HALF, sets[:1], False, False)
+    assert CauseReport.__eq__(report, values) is NotImplemented
+    text = (
+        "CauseReport(tid=3, responsibility=Fraction(1, 2), "
+        "minimal_contingency_sets=(frozenset({1}), frozenset({4})), "
+        "is_counterfactual=False, is_most_responsible=False)"
+    )
+    names = [
+        "tid",
+        "responsibility",
+        "minimal_contingency_sets",
+        "is_counterfactual",
+        "is_most_responsible",
+    ]
+    for r in (listed(), built):
+        assert repr(r) == text
+        for name in (*names, "other"):
+            with pytest.raises(FrozenInstanceError):
+                setattr(r, name, None)
+        for name in ("tid", "minimal_contingency_sets"):
+            with pytest.raises(FrozenInstanceError):
+                delattr(r, name)
+        for twin in (pickle.loads(pickle.dumps(r)), copy.copy(r), copy.deepcopy(r)):
+            assert twin == r and type(twin) is CauseReport
+        by_name = by_place = None
+        match r:
+            case CauseReport(tid=t, responsibility=rho, minimal_contingency_sets=g):
+                by_name = (t, rho, g)
+        match r:
+            case CauseReport(t, rho, g, False, False):
+                by_place = (t, rho, g)
+        assert by_name == by_place == values[:3]
+        assert dataclasses.is_dataclass(r)
+        assert [f.name for f in dataclasses.fields(r)] == names
+        assert dataclasses.asdict(r) == dict(zip(names, values))
+        assert dataclasses.astuple(r) == values
+        assert dataclasses.replace(r) == built
+        pared = dataclasses.replace(r, minimal_contingency_sets=sets[:1])
+        assert pared == CauseReport(3, HALF, sets[:1], False, False)
+    assert CauseReport(*values).minimal_contingency_sets is sets
+
+
+def test_listed_reports_share_the_s_repair_differences(dstar, qstar):
+    """Causes that share an S-repair difference hold the one frozenset
+    `s_repairs` listed, and build each contingency set on first read."""
+    reports = {r.tid: r for r in actual_causes(dstar, qstar)}
+    assert all(map(_unread, reports.values()))
+    one, three = reports[1], reports[3]
+    assert vars(three)["_differences"] == (frozenset({1, 3}), frozenset({3, 4}))
+    assert vars(one)["_differences"][0] is vars(three)["_differences"][0]
+    assert three.minimal_contingency_sets == (frozenset({1}), frozenset({4}))
+    assert three.minimal_contingency_sets is three.minimal_contingency_sets
+    assert _unread(one)
+
+
+def test_actual_causes_memory_peak_on_chain_42():
+    """The benchmark's chain-42 instance has 1150 S-repairs and 10 060
+    contingency sets. Each cause holds the differences `s_repairs` listed,
+    not a new set per (difference, tuple) pair, so the call peaks near
+    1 MB, where building every contingency set takes about 8 MB."""
+    facts = load_bench("chain_causes").instance(42)
+    inst = load_instance("".join(f"{p}({','.join(a)}).\n" for p, a in facts))
+    q = parse_query(QSTAR_TEXT)
+    tracemalloc.start()
+    try:
+        reports = actual_causes(inst, q)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert sum(len(r.minimal_contingency_sets) for r in reports) == 10_060
+    assert peak < 3_000_000, f"actual_causes peaked at {peak / 1e6:.1f} MB"
 
 
 def test_counterfactual_matches_oracle_on_corpus():

@@ -19,6 +19,7 @@ from whydb import (
     Fact,
     Instance,
     actual_causes,
+    brute_causes,
     contingency_sets,
     load_instance,
     parse_constraints,
@@ -37,7 +38,7 @@ from whydb.cli import (
 )
 from whydb.core import is_constant
 
-from conftest import D2STAR_TEXT, DSTAR_TEXT, K12_TEXT, QSTAR_TEXT
+from conftest import D2STAR_TEXT, DSTAR_TEXT, K12_TEXT, QSTAR_TEXT, load_bench
 
 
 @pytest.fixture
@@ -333,6 +334,47 @@ def test_each_printed_fact_is_rendered_once(gappy, capsys, monkeypatch):
             assert set(renders) <= printed, (command, fmt, renders, printed)
 
 
+def test_causes_prints_contingency_sets_without_building_them(
+    files, tmp_path, capsys, monkeypatch
+):
+    """`causes` prints each contingency set from the S-repair difference
+    it is cut from, so no report's `minimal_contingency_sets` is built: on
+    the benchmark's chain-42 instance (10 060 sets) and under --hard."""
+    chain = tmp_path / "chain.facts"
+    facts = load_bench("chain_causes").instance(42)
+    chain.write_text("".join(f"{p}({','.join(a)}).\n" for p, a in facts))
+    seen = []
+    for name in ("actual_causes", "causes_under_ics"):
+
+        def kept(*args, found=getattr(cli, name)):
+            reports = found(*args)
+            seen.extend(reports)
+            return reports
+
+        monkeypatch.setattr(cli, name, kept)
+    for sources in (
+        ["--db", str(chain)],
+        ["--db", files["dstar.facts"], "--hard", files["hard.ref"]],
+    ):
+        for fmt in ("text", "json"):
+            seen.clear()
+            argv = ["causes", *sources, "-q", QSTAR_TEXT, "--format", fmt]
+            code, out, _ = run(capsys, argv)
+            assert code == 0 and out and seen
+            assert not [r.tid for r in seen if "minimal_contingency_sets" in vars(r)]
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_causes_prints_built_reports_as_listed_ones(gappy, capsys, monkeypatch, fmt):
+    """A report built from its contingency sets, as the oracle builds them,
+    prints as the listed report with the same values."""
+    argv = ["causes", "--db", gappy[0], "-q", QSTAR_TEXT, "--format", fmt]
+    listed = run(capsys, argv)
+    assert listed[0] == 0 and listed[1]
+    monkeypatch.setattr(cli, "actual_causes", brute_causes)
+    assert run(capsys, argv) == listed
+
+
 # Strings holding what JSON escapes: quotes, backslashes and control
 # characters, and under ensure_ascii also non-ASCII, astral characters (as
 # surrogate pairs) and lone surrogates.
@@ -358,7 +400,8 @@ def _json_values(draw):
     """A value of the kinds handlers return, and the instance its tid sets
     are drawn from: facts P(c), with constants that hold what JSON escapes
     and tids out of file order. Its leaves are scalars, tid sets (`_Facts`,
-    either way round) and lists of them (`_FactSets`)."""
+    either way round) and lists of them (`_FactSets`, some with a tid left
+    out)."""
     constants = draw(
         st.lists(_JSON_STRINGS.filter(is_constant), min_size=1, max_size=5, unique=True)
     )
@@ -370,7 +413,10 @@ def _json_values(draw):
     table = _FactTable(inst)
     tid_sets = st.frozensets(st.sampled_from(tids))
     facts = st.builds(_Facts, tid_sets, st.just(table), st.booleans()) | st.builds(
-        _FactSets, st.lists(tid_sets, max_size=4), st.just(table)
+        _FactSets,
+        st.lists(tid_sets, max_size=4),
+        st.just(table),
+        st.none() | st.sampled_from(tids),
     )
     value = st.recursive(
         _JSON_SCALARS | facts,
@@ -392,7 +438,7 @@ def _plain(inst, value):
     if isinstance(value, _Facts):
         return texts(inst.tids - value.tids if value.rest else value.tids)
     if isinstance(value, _FactSets):
-        return [texts(g) for g in value.sets]
+        return [texts(g - {value.without}) for g in value.sets]
     if isinstance(value, list):
         return [_plain(inst, item) for item in value]
     if isinstance(value, dict):

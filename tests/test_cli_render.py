@@ -1,7 +1,8 @@
 """The CLI's text and JSON output against output built here from the
 library's own results with `json.dumps`: causes, contingency sets and S- and
 C-repairs, on the benchmark's chain instances, on FD conflicts, and on
-inputs with exogenous tuples and with explicit tids out of file order. A
+inputs with exogenous tuples and with explicit tids out of file order; and
+causes under a hard constraint on chain instances it holds in. A
 repair's retained facts are cut from every fact joined once, so tid order,
 not file order, must decide where each cut falls."""
 
@@ -15,9 +16,11 @@ import pytest
 from whydb import (
     actual_causes,
     c_repairs,
+    causes_under_ics,
     contingency_sets,
     load_instance,
     parse_constraints,
+    parse_hard_constraints,
     parse_query,
     s_repairs,
 )
@@ -29,6 +32,7 @@ CHAIN_QUERY = "q :- S(x), R(x,y), S(y)."
 CHAIN_DC = ":- S(x), R(x,y), S(y)."
 FD_QUERY = "q :- T(x,y), T(x,z), y != z."
 FD_DC = "fd T: 1 -> 2."
+ANCHOR = "R[1] <= S[1]."
 chain_causes = load_bench("chain_causes")
 
 
@@ -39,6 +43,15 @@ def _chains(n):
         "".join(f"{p}({','.join(args)}).\n" for p, args in facts)
         for _, facts in chain_causes.shuffles(n)
     ]
+
+
+def _anchored(n):
+    """chain-n in the order the benchmark runs, with only the R facts whose
+    first constant is an S constant, so that it satisfies ANCHOR."""
+    facts = chain_causes.instance(n)
+    anchors = {args[0] for p, args in facts if p == "S"}
+    kept = [(p, args) for p, args in facts if p == "S" or args[0] in anchors]
+    return "".join(f"{p}({','.join(args)}).\n" for p, args in kept)
 
 
 def _fd(k):
@@ -69,16 +82,20 @@ CASES = {
     ),
     "exogenous": ("@exo S(a3). R(a4,a3). R(a3,a3). S(a4).", CHAIN_QUERY, CHAIN_DC),
 }
+# under ANCHOR, which keeps 2 of their 165, 486 and 1150 S-repairs
+ANCHORED = {
+    f"chain-{n}-anchored": (_anchored(n), CHAIN_QUERY, CHAIN_DC) for n in (30, 40, 42)
+}
 
 
 def _output(tmp_path, name, argv) -> list[str]:
     """The command's stdout as lines with their ends, which keeps a failing
     comparison cheap to explain where one line holds a whole cause."""
-    facts, query, constraints = CASES[name]
-    db, dc = tmp_path / "db.facts", tmp_path / "c.dc"
-    db.write_text(facts)
-    dc.write_text(constraints)
-    argv = [a.replace("{db}", str(db)).replace("{dc}", str(dc)) for a in argv]
+    facts, query, constraints = CASES[name] if name in CASES else ANCHORED[name]
+    for key, text in (("{db}", facts), ("{dc}", constraints), ("{hard}", ANCHOR)):
+        path = tmp_path / key.strip("{}")
+        path.write_text(text)
+        argv = [a.replace(key, str(path)) for a in argv]
     out = StringIO()
     with redirect_stdout(out):
         assert main(argv) == 0, argv
@@ -105,13 +122,10 @@ def _lines(lines):
     return [line + "\n" for line in lines]
 
 
-@pytest.mark.parametrize("name", sorted(CASES))
-def test_causes_and_contingency_are_the_library_results(tmp_path, name):
-    facts, query, _ = CASES[name]
-    inst, q = load_instance(facts), parse_query(query)
-    reports = actual_causes(inst, q)
-    base = ["--db", "{db}", "-q", query]
-    assert _output(tmp_path, name, ["causes", *base]) == _lines(
+def _check_causes(tmp_path, name, argv, inst, reports):
+    """`causes` prints `reports`, built from their contingency sets, as
+    text and as JSON."""
+    assert _output(tmp_path, name, argv) == _lines(
         f"{inst.fact(r.tid).render()}: responsibility={r.responsibility} "
         f"counterfactual={'yes' if r.is_counterfactual else 'no'} "
         f"most-responsible={'yes' if r.is_most_responsible else 'no'} "
@@ -120,7 +134,7 @@ def test_causes_and_contingency_are_the_library_results(tmp_path, name):
         + "]"
         for r in reports
     )
-    assert _output(tmp_path, name, ["causes", *base, "--format", "json"]) == _json(
+    assert _output(tmp_path, name, [*argv, "--format", "json"]) == _json(
         {
             "causes": [
                 {
@@ -137,6 +151,15 @@ def test_causes_and_contingency_are_the_library_results(tmp_path, name):
             ]
         }
     )
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_causes_and_contingency_are_the_library_results(tmp_path, name):
+    facts, query, _ = CASES[name]
+    inst, q = load_instance(facts), parse_query(query)
+    reports = actual_causes(inst, q)
+    base = ["--db", "{db}", "-q", query]
+    _check_causes(tmp_path, name, ["causes", *base], inst, reports)
     # the cause with the most contingency sets, and the smallest endogenous
     # tid that is no cause
     most = sorted(reports, key=lambda r: -len(r.minimal_contingency_sets))[:1]
@@ -152,6 +175,16 @@ def test_causes_and_contingency_are_the_library_results(tmp_path, name):
                 "contingency_sets": [_texts(inst, g) for g in sets],
             }
         )
+
+
+@pytest.mark.parametrize("name", sorted(ANCHORED))
+def test_causes_under_a_hard_constraint_are_the_library_results(tmp_path, name):
+    facts, query, _ = ANCHORED[name]
+    inst, q = load_instance(facts), parse_query(query)
+    reports = causes_under_ics(inst, q, parse_hard_constraints(ANCHOR))
+    assert reports and all(len(r.minimal_contingency_sets) <= 2 for r in reports)
+    argv = ["causes", "--db", "{db}", "-q", query, "--hard", "{hard}"]
+    _check_causes(tmp_path, name, argv, inst, reports)
 
 
 @pytest.mark.parametrize("kind", ["s", "c"])
