@@ -23,10 +23,10 @@ Handlers return tid sets, not lists of strings: `_Facts` (one set) and
 `_FactSets` (a list of sets). A printed set costs one sort and one join. A
 cause's contingency set is printed from its S-repair difference with the
 cause's tid left out, and each difference is sorted once however many
-causes it holds. A repair's retained facts, every fact but its k deletions, are k+1
-slices of every fact joined once per format. The JSON writer puts each flat
-value (`_flat`) in one piece: one piece per repair, and one per cause with
-all its contingency sets.
+causes hold it. A repair's retained facts, every fact but its k deletions,
+are k+1 slices of every fact joined once per format. The JSON writer puts
+each flat value (`_flat`) in one piece: one piece per repair, and one per
+cause with all its contingency sets.
 """
 
 from __future__ import annotations
