@@ -1,4 +1,6 @@
+import sys
 import time
+from dataclasses import FrozenInstanceError
 
 import pytest
 from hypothesis import example, given, settings
@@ -14,9 +16,9 @@ from whydb import (
     tuple_by_tid,
 )
 from whydb._scan import Scanner
-from whydb.core import _FACT_RE, _fact_of, _read_fact
+from whydb.core import _FACT_RE, _FactError, _fact_of, _read_fact
 
-from conftest import DSTAR_TEXT
+from conftest import D2STAR_TEXT, DSTAR_TEXT
 
 
 def test_tids_follow_file_order():
@@ -190,23 +192,87 @@ def test_fact_pattern_agrees_with_token_reader(text):
         assert m.end() == sc.pos
 
 
+def _load_by_tokens(text):
+    """`load_instance` the slow way: every statement read token by token,
+    every fact built by `Fact(...)`, and the same checks in the same order."""
+    sc = Scanner(text)
+    statements = [(start, _read_fact(sc)) for start in sc.statements()]
+    implicit = [start for start, (_, _, tid, _) in statements if tid is None]
+    if implicit and len(implicit) != len(statements):
+        raise sc.error(
+            "mixed tid modes: every fact must carry an explicit tid or none may",
+            at=implicit[0],
+        )
+    try:
+        return Instance(
+            Fact(predicate, args, i + 1 if tid is None else tid, exogenous)
+            for i, (_, (exogenous, predicate, tid, args)) in enumerate(statements)
+        )
+    except _FactError as exc:
+        raise sc.error(str(exc), at=statements[exc.index][0]) from None
+
+
+def _outcome(load, text):
+    """The facts with their flags, or the error's message, line and column."""
+    try:
+        inst = load(text)
+    except ParseError as exc:
+        return ("error", str(exc), exc.line, exc.column)
+    return ("instance", [(f.tid, f.predicate, f.args, f.exogenous) for f in inst])
+
+
+# Valid statements that clash: a duplicate fact, an arity clash, a duplicate
+# tid, or mixed tid modes
+_CLASHING = ["P(a).", "@exo P(a).", "P(a,b).", "P[1](a).", "Q[1](b).", "Q[2](a,b).", "Q(b)."]
+
+
+@settings(deadline=None, max_examples=500)
+@given(st.lists(st.one_of(fact_statements(), st.sampled_from(_CLASHING)), max_size=5),
+       st.sampled_from(["\n", " ", "", "% c\n"]))
+@example(["P[2](a).", "P[1](a,b)."], "\n")
+@example(["P(a).", "@exo P(a)."], " ")
+@example(["P[1](a).", "Q[1](b)."], " ")
+@example(["P[1](a).", "Q(b).", "R[0](c)."], " ")
+@example(["P(a).", "Q[1](b).", "R(c d)."], " ")
+@example(["@exo P[٣](a).", "Q[１２](b).", "R[007](c)."], "\n")
+def test_load_instance_agrees_with_token_reader(statements, separator):
+    # the one-pass loader and the token reader give the same instance, or
+    # the same error at the same place
+    text = separator.join(statements)
+    assert _outcome(load_instance, text) == _outcome(_load_by_tokens, text)
+
+
+_VALID_FACTS = "".join(f"P(a{i}).\n" for i in range(20_000))
+
+
 @pytest.mark.parametrize(
-    "text",
+    "text, error",
     [
-        "P(a" + " " * 100_000 + "x).",
-        "P(a " + "%" * 100_000,
-        "P(" + ",".join(f"a{i}" for i in range(50_000)) + ".",
+        ("P(a" + " " * 100_000 + "x).", None),
+        ("P(a " + "%" * 100_000, None),
+        ("P(" + ",".join(f"a{i}" for i in range(50_000)) + ".", None),
+        ("P(a). " + "a" * 20_000, "expected '(' (line 1, column 20007)"),
+        (_VALID_FACTS + "Q(b e).", None),
     ],
-    ids=["blanks", "comment", "arguments"],
+    ids=["blanks", "comment", "arguments", "identifier", "after-valid-facts"],
 )
-def test_long_malformed_statement_fails_in_linear_time(text):
+def test_long_malformed_statement_fails_in_linear_time(text, error):
     # a statement pattern that could match its layout in more than one way
-    # would backtrack exponentially before handing over to the token reader
+    # would backtrack exponentially before handing over to the token reader;
+    # one that searched past a statement it rejects would retry at every
+    # later offset
     start = time.perf_counter()
     with pytest.raises(ParseError) as exc:
         load_instance(text)
     assert time.perf_counter() - start < 1.0
     assert str(exc.value).startswith("expected ")
+    if error is not None:
+        assert str(exc.value) == error
+    with pytest.raises(ParseError) as by_tokens:
+        _load_by_tokens(text)
+    assert (str(exc.value), exc.value.line, exc.value.column) == (
+        str(by_tokens.value), by_tokens.value.line, by_tokens.value.column
+    )
 
 
 def test_round_trip_running_example():
@@ -235,6 +301,40 @@ def instances(draw):
         Fact(pred, args, tid, exo)
         for (pred, args), tid, exo in zip(keys, tids, flags)
     )
+
+
+def _assert_built_alike(inst):
+    for f in inst:
+        built = Fact(f.predicate, f.args, f.tid, f.exogenous)
+        assert type(f) is Fact
+        assert f == built and hash(f) == hash(built) and repr(f) == repr(built)
+        assert list(vars(f)) == list(vars(built)) == ["predicate", "args", "tid", "exogenous"]
+        # a dict filled by `__dict__.update` does not share its keys with the
+        # class's other instances, and is larger
+        assert sys.getsizeof(vars(f)) == sys.getsizeof(vars(built))
+        with pytest.raises(FrozenInstanceError):
+            f.tid = f.tid + 1
+
+
+@pytest.mark.parametrize(
+    "text",
+    [DSTAR_TEXT, D2STAR_TEXT, "@exo % never deleted\nP [7] ( a ,\n        b ) .  Q[8](c)."],
+    ids=["dstar", "d2star", "readme"],
+)
+def test_loaded_facts_are_built_alike_on_fixtures(text):
+    _assert_built_alike(load_instance(text))
+
+
+@given(instances(), st.sampled_from(_LAYOUTS), st.sampled_from(_LAYOUTS))
+def test_loaded_facts_are_built_alike(inst, between, inside):
+    # `@exo`, explicit tids, and layout with comments between the facts and
+    # between their arguments
+    text = between.join(
+        line.replace(",", inside + "," + inside) for line in dump_instance(inst).splitlines()
+    )
+    loaded = load_instance(text)
+    assert loaded == inst
+    _assert_built_alike(loaded)
 
 
 @given(instances())
