@@ -15,7 +15,7 @@ hitting sets directly. Only `actual_causes` and `causes_under_ics` list
 every S-repair: they report every cause, and hard constraints judge whole
 repairs. A report they return holds the S-repair differences with its
 tuple, the very sets `s_repairs` listed, shared between the causes, and
-builds its contingency sets from them the first time they are read. Every
+makes its contingency sets from them when they are first read. Every
 list of differences is a product over the hypergraph's connected
 components, and every size a sum over them. The product nests
 one step per component, so about a thousand components, or a thousand
@@ -35,6 +35,7 @@ from .repair import (
     HardConstraint,
     Hypergraph,
     ReferentialConstraint,
+    _Lazy,
     c_repairs,
     s_repairs,
     satisfies_hard,
@@ -53,44 +54,29 @@ class DiffSet:
 class CauseReport:
     """An actual cause: its tid, its responsibility and its subset-minimal
     contingency sets, sorted by (size, tids). One from `actual_causes` or
-    `causes_under_ics` stores the S-repair differences that hold its tid,
-    which other causes share, and fills in `minimal_contingency_sets`, each
-    difference less the tid, the first time it is read: the CLI prints the
-    sets from the differences, and building them would take most of the
-    causes' memory."""
+    `causes_under_ics` stores `_differences`, the S-repair differences that
+    hold its tid, shared with other causes, and makes its contingency sets,
+    each difference less the tid, when first read: the CLI prints only the
+    differences, and the sets would take most of the causes' memory. One
+    built from its sets (such as the oracle's) makes its differences."""
 
     tid: int
     responsibility: Fraction
-    minimal_contingency_sets: tuple[frozenset[int], ...]
+    minimal_contingency_sets: tuple[frozenset[int], ...] = _Lazy(
+        lambda r: tuple(d - {r.tid} for d in r._differences)
+    )
     is_counterfactual: bool
     is_most_responsible: bool
 
-    def __getattr__(self, name: str):
-        if name != "minimal_contingency_sets":
-            raise AttributeError(f"'CauseReport' object has no attribute {name!r}")
-        t = self.tid
-        sets = tuple(d - {t} for d in self._differences)
-        object.__setattr__(self, "minimal_contingency_sets", sets)
-        return sets
+    _differences = _Lazy(
+        lambda r: tuple(g | {r.tid} for g in r.minimal_contingency_sets)
+    )
 
     def minimum_contingency_sets(self) -> tuple[frozenset[int], ...]:
         """Only the globally smallest contingency sets, of size
         1/responsibility - 1."""
-        smallest = min(len(g) for g in self.minimal_contingency_sets)
-        return tuple(
-            g for g in self.minimal_contingency_sets if len(g) == smallest
-        )
-
-
-def _differences(report: CauseReport) -> Sequence[frozenset[int]]:
-    """The S-repair differences that hold the report's tid, in the order of
-    its contingency sets: the stored ones of a listed report, each set with
-    the tid for one built from its sets (such as the oracle's)."""
-    stored = vars(report).get("_differences")
-    if stored is not None:
-        return stored
-    t = report.tid
-    return [g | {t} for g in report.minimal_contingency_sets]
+        smallest = min(map(len, self._differences))
+        return tuple(d - {self.tid} for d in self._differences if len(d) == smallest)
 
 
 def dif_s(inst: Instance, q: UCQ, t: int) -> list[DiffSet]:
@@ -123,13 +109,11 @@ def _reports(
     reports = []
     for t, mine in held.items():
         r = object.__new__(CauseReport)
-        vars(r).update(
-            tid=t,
-            responsibility=Fraction(1, len(mine[0])),
-            is_counterfactual=len(mine[0]) == 1,
-            is_most_responsible=len(mine[0]) == len(diffs[0]),
-            _differences=tuple(mine),
-        )
+        object.__setattr__(r, "tid", t)
+        object.__setattr__(r, "responsibility", Fraction(1, len(mine[0])))
+        object.__setattr__(r, "is_counterfactual", len(mine[0]) == 1)
+        object.__setattr__(r, "is_most_responsible", len(mine[0]) == len(diffs[0]))
+        object.__setattr__(r, "_differences", tuple(mine))
         reports.append(r)
     reports.sort(key=lambda r: (-r.responsibility, r.tid))
     return reports
@@ -166,7 +150,8 @@ def contingency_sets(inst: Instance, q: UCQ, t: int) -> list[frozenset[int]]:
         raise PreconditionError(
             f"exogenous tuples cannot be causes: {fact.render()}"
         )
-    return [d.deleted - {t} for d in dif_s(inst, q, t)]
+    graph = Hypergraph.of(inst, negate_query(q))
+    return [d - {t} for d in graph.transversals_with(t)]
 
 
 def responsibility(inst: Instance, q: UCQ, t: int) -> Fraction:

@@ -21,12 +21,12 @@ Each handler prints facts through one fact table (`_FactTable`), which
 renders a fact, and encodes its JSON string, the first time it is printed.
 Handlers return tid sets, not lists of strings: `_Facts` (one set) and
 `_FactSets` (a list of sets). A printed set costs one sort and one join. A
-cause's contingency set is printed from its S-repair difference with the
-cause's tid left out, and each difference is sorted once however many
-causes hold it. A repair's retained facts, every fact but its k deletions,
-are k+1 slices of every fact joined once per format. The JSON writer puts
-each flat value (`_flat`) in one piece: one piece per repair, and one per
-cause with all its contingency sets.
+cause's contingency set is printed from its S-repair difference
+(`CauseReport._differences`) with the cause's tid left out, and each
+difference is sorted once however many causes hold it. A repair's retained
+facts, every fact but its k deletions, are k+1 slices of every fact joined
+once per format. The JSON writer puts each flat value (`_flat`) in one
+piece: one piece per repair, and one per cause with all its contingency sets.
 """
 
 from __future__ import annotations
@@ -43,7 +43,6 @@ from typing import Callable, Iterator, Sequence
 from ._version import __version__
 from .asp import AspDialect, CausalityOptions, emit_causality_program, emit_repair_program
 from .causality import (
-    _differences,
     actual_causes,
     causes_under_ics,
     contingency_sets,
@@ -243,7 +242,7 @@ def _cmd_causes(args, inst):
     facts = _FactTable(inst)
 
     def sets(r):  # each contingency set is a difference without the cause
-        return _FactSets(_differences(r), facts, r.tid)
+        return _FactSets(r._differences, facts, r.tid)
 
     if args.format == "json":
         return {

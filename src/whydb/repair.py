@@ -21,8 +21,8 @@ reaches only minimal hitting sets. From the hypergraph come the S-repairs,
 the C-repairs, the S-repairs holding one tuple, and the smallest of those.
 `s_repairs` lists them all, less those breaking a hard constraint, which
 judges a whole repair; `c_repairs` with hard constraints keeps the smallest
-of those. A `Repair` they return stores its deletion set and fills in its
-retained set the first time it is read, from the instance's tids.
+of those. A `Repair` they return stores its deletion set and the instance's
+tids; its retained set is a `_Lazy` field, made from them when first read.
 
 The search nests one step per chosen tuple, and the product one step per
 component. Nesting deeper than the recursion limit raises
@@ -58,6 +58,26 @@ S_REPAIR = "s_repair"
 C_REPAIR = "c_repair"
 
 
+class _Lazy:
+    """An attribute made the first time it is read, as `make(value)`, and
+    stored on the value. Python calls a non-data descriptor only while the
+    value lacks the name, so a value built with it never calls `make`. On
+    the class it raises AttributeError, so a dataclass field has no default."""
+
+    def __init__(self, make: Callable):
+        self.make = make
+
+    def __set_name__(self, owner: type, name: str) -> None:
+        self.name = name
+
+    def __get__(self, value, owner: type):
+        if value is None:
+            raise AttributeError(self.name)
+        made = self.make(value)
+        object.__setattr__(value, self.name, made)
+        return made
+
+
 @dataclass(frozen=True)
 class Repair:
     """A repair: the tids it retains and the tids it deletes. One listed by
@@ -66,14 +86,8 @@ class Repair:
     time it is read: most callers read only `deleted`, and the retained
     sets would take most of a listing's memory."""
 
-    retained: frozenset[int]
+    retained: frozenset[int] = _Lazy(lambda r: r._tids - r.deleted)
     deleted: frozenset[int]
-
-    def __getattr__(self, name: str):
-        if name != "retained":
-            raise AttributeError(f"'Repair' object has no attribute {name!r}")
-        object.__setattr__(self, "retained", self._tids - self.deleted)
-        return self.retained
 
 
 @dataclass(frozen=True)

@@ -270,8 +270,13 @@ def test_cause_report_contract_holds_for_listed_and_built_reports(dstar, qstar):
         "is_counterfactual",
         "is_most_responsible",
     ]
+    assert all(f.default is dataclasses.MISSING for f in dataclasses.fields(built))
+    assert listed()._differences == built._differences
     for r in (listed(), built):
         assert repr(r) == text
+        with pytest.raises(AttributeError) as missing:
+            r.other
+        assert str(missing.value) == "'CauseReport' object has no attribute 'other'"
         for name in (*names, "other"):
             with pytest.raises(FrozenInstanceError):
                 setattr(r, name, None)
@@ -308,6 +313,10 @@ def test_listed_reports_share_the_s_repair_differences(dstar, qstar):
     assert vars(one)["_differences"][0] is vars(three)["_differences"][0]
     assert three.minimal_contingency_sets == (frozenset({1}), frozenset({4}))
     assert three.minimal_contingency_sets is three.minimal_contingency_sets
+    assert _unread(one)
+    # the smallest sets are made from the differences, not from every set
+    built = CauseReport(1, one.responsibility, (frozenset({3}),), False, False)
+    assert one.minimum_contingency_sets() == built.minimum_contingency_sets()
     assert _unread(one)
 
 

@@ -372,7 +372,14 @@ def test_repair_contract_holds_for_listed_and_built_repairs(dstar, kq):
     assert len({listed, built}) == 1
     assert listed != Repair(built.retained, frozenset())
     assert Repair.__eq__(listed, (built.retained, built.deleted)) is NotImplemented
+    assert all(f.default is dataclasses.MISSING for f in dataclasses.fields(Repair))
+    with pytest.raises(TypeError):
+        Repair(frozenset())
     text = "Repair(retained=frozenset({2, 4, 5, 6}), deleted=frozenset({1, 3}))"
+    for r in (s_repairs(dstar, kq)[1], built):
+        with pytest.raises(AttributeError) as missing:
+            r.other
+        assert str(missing.value) == "'Repair' object has no attribute 'other'"
     for r in (listed, built):
         assert repr(r) == text
         for name in ("retained", "deleted", "other"):
