@@ -17,9 +17,9 @@ repairs. A report they return holds the S-repair differences with its
 tuple, the very sets `s_repairs` listed, shared between the causes, and
 makes its contingency sets from them when they are first read. Every
 list of differences is a product over the hypergraph's connected
-components, and every size a sum over them. The product nests
-one step per component, so about a thousand components, or a thousand
-deletions inside one, raise BudgetExceededError.
+components, and every size a sum over them. A thousand deletions inside
+one component, past the recursion limit, or more than sys.maxsize
+differences, more than a list can hold, raise BudgetExceededError.
 """
 
 from __future__ import annotations

@@ -51,8 +51,8 @@ class EmitError(WhydbError):
 
 
 class BudgetExceededError(WhydbError):
-    """A search outgrew what whydb can run to the end, e.g. a repair search
-    nested deeper than Python's recursion limit."""
+    """A search outgrew what whydb can run to the end: a repair search nested
+    deeper than Python's recursion limit, or more sets than a list holds."""
 
 
 def _nesting_budget(search, what: str):

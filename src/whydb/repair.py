@@ -24,14 +24,17 @@ judges a whole repair; `c_repairs` with hard constraints keeps the smallest
 of those. A `Repair` they return stores its deletion set and the instance's
 tids; its retained set is a `_Lazy` field, made from them when first read.
 
-The search nests one step per chosen tuple, and the product one step per
-component. Nesting deeper than the recursion limit raises
-BudgetExceededError: about a thousand components, or a thousand deletions
-inside one component, are past it.
+The search nests one step per chosen tuple inside a component; nesting
+deeper than the recursion limit raises BudgetExceededError. The product is
+flat, and its size is known at once: a listing of more than sys.maxsize
+sets, more than a list can hold, raises it before its first set.
 """
 
 from __future__ import annotations
 
+import itertools
+import math
+import sys
 from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, Sequence, Union
 
@@ -39,6 +42,7 @@ from ._scan import Scanner
 from .core import Instance
 from .errors import (
     ArityMismatchError,
+    BudgetExceededError,
     IrreparableError,
     UnknownTidError,
     _nesting_budget,
@@ -258,18 +262,12 @@ def _search_name(edges: Sequence[frozenset[int]]) -> str:
 def _product(
     parts: Sequence[Sequence[frozenset[int]]], what: str
 ) -> Iterator[frozenset[int]]:
-    """Every union of one set from each part, lazily. It recurses one step
-    per part; nesting deeper than the recursion limit raises
-    BudgetExceededError naming `what`."""
-
-    def extend(i: int, chosen: frozenset[int]):
-        if i == len(parts):
-            yield chosen
-            return
-        for part in parts[i]:
-            yield from extend(i + 1, chosen | part)
-
-    yield from _nesting_budget(extend(0, frozenset()), what)
+    """Every union of one set from each part, lazily, in one flat iterator.
+    More unions than sys.maxsize, more than any list can hold, raise
+    BudgetExceededError naming `what` at once, before the first."""
+    if math.prod(map(len, parts)) > sys.maxsize:
+        raise BudgetExceededError(f"{what} has more sets than a list can hold")
+    return itertools.starmap(frozenset().union, itertools.product(*parts))
 
 
 def _minimal_edges(edges: Iterable[frozenset[int]]) -> list[frozenset[int]]:

@@ -807,8 +807,8 @@ def no_gc_callbacks():
 
 
 def test_deep_repair_search_is_a_budget_error(fd_1100, capsys, no_gc_callbacks):
-    # each listing is a product over the 1100 components, one nested step
-    # per component, past the recursion limit
+    # each listing is a product over the 1100 components, of 2**1100 or
+    # 2**1099 sets, more than sys.maxsize: it is refused before the first
     db, fds = fd_1100
     for argv in (
         ["repairs", "--kind", "c", "--db", db, "--constraints", fds],
@@ -828,6 +828,51 @@ def test_deep_repair_search_is_a_budget_error(fd_1100, capsys, no_gc_callbacks):
         assert code == 1 and out == "", argv
         assert len(err.splitlines()) == 1 and err.startswith("error: "), argv
         assert "1100 violation edges" in err and "Traceback" not in err, argv
+
+
+@pytest.fixture
+def p_1100(tmp_path):
+    """1100 one-fact witnesses P(c_i), under `:- P(x).`, as facts and DC
+    files: 1100 components of one edge each, and one S-repair."""
+    db = tmp_path / "witnesses.facts"
+    db.write_text("".join(f"P(c{i}).\n" for i in range(1100)))
+    dc = tmp_path / "p.dc"
+    dc.write_text(":- P(x).")
+    return str(db), str(dc)
+
+
+def test_many_components_with_one_repair_are_listed(p_1100, capsys):
+    # the product over 1100 components of one set each is one set; nothing
+    # nests a step per component, so the recursion limit is no bound on it
+    db, dc = p_1100
+    facts = [f"P(c{i})#{i + 1}" for i in range(1100)]
+    others = facts[:4] + facts[5:]  # all but tid 5, P(c4)
+    cases = [
+        (
+            ["repairs", "--kind", kind, "--db", db, "--constraints", dc],
+            [f"{kind}-repair 1: deleted {{{', '.join(facts)}}} retained {{}}"],
+            {"kind": kind, "repairs": [{"deleted": facts, "retained": []}]},
+        )
+        for kind in ("s", "c")
+    ] + [
+        (
+            ["most-responsible", "--db", db, "-q", "q :- P(x)."],
+            facts,
+            {"most_responsible_causes": facts},
+        ),
+        (
+            ["contingency", "--db", db, "-q", "q :- P(x).", "--tid", "5"],
+            [f"{{{', '.join(others)}}}"],
+            {"tid": 5, "atom": "P(c4)", "contingency_sets": [others]},
+        ),
+    ]
+    for argv, lines, doc in cases:
+        code, out, err = run(capsys, argv)
+        assert code == 0 and err == "", argv
+        assert out.splitlines() == lines, argv
+        code, out, err = run(capsys, [*argv, "--format", "json"])
+        assert code == 0 and err == "", argv
+        assert json.loads(out) == {"schema": 1, **doc}, argv
 
 
 def test_deep_component_is_a_budget_error(tmp_path, capsys, no_gc_callbacks):
@@ -879,14 +924,23 @@ def _address_space(limit: int):
 
 
 def test_listing_too_large_for_memory_is_one_error_line(tmp_path):
-    # 2**500 S-repairs: the listing grows until it fills the child's 256 MB
-    # address space, which takes about a second
-    db, fds = _fd_pairs(tmp_path, 500, 0)
+    # 2**40 S-repairs, few enough for a list but not for memory: the listing
+    # grows until it fills the child's 256 MB address space, which takes
+    # about a second
+    db, fds = _fd_pairs(tmp_path, 40, 0)
     argv = ["repairs", "--kind", "s", "--db", db, "--constraints", fds]
     with _whydb_process(argv, preexec_fn=_address_space(256 * 2**20)) as proc:
         out, err = proc.communicate(timeout=60)
     assert proc.returncode == 1 and out == ""
     assert err == "error: out of memory\n"
+    # 2**500 are more than any list can hold: refused before the first
+    db, fds = _fd_pairs(tmp_path, 500, 0)
+    argv = ["repairs", "--kind", "s", "--db", db, "--constraints", fds]
+    with _whydb_process(argv, preexec_fn=_address_space(256 * 2**20)) as proc:
+        out, err = proc.communicate(timeout=60)
+    assert proc.returncode == 1 and out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("error: ")
+    assert "500 violation edges" in err and "Traceback" not in err
 
 
 def test_exit_code_open_query_precondition(files, capsys):

@@ -39,6 +39,7 @@ from whydb.repair import (
     S_REPAIR,
     _fewest,
     _minimal_hitting_sets,
+    _product,
 )
 
 from conftest import D1_ATOMS, D2_ATOMS, D3_ATOMS, retained_atoms
@@ -137,6 +138,33 @@ def test_minimal_hitting_sets_too_deep_is_a_budget_error():
     edges = [frozenset({2 * i + 1, 2 * i + 2}) for i in range(1100)]
     with pytest.raises(BudgetExceededError, match="1100 violation edges"):
         list(_minimal_hitting_sets(edges))
+
+
+def _pairs(n):
+    """n parts of two disjoint singletons each: 2**n unions."""
+    return [[frozenset({2 * i + 1}), frozenset({2 * i + 2})] for i in range(n)]
+
+
+def test_product_past_maxsize_is_refused_before_its_first_set():
+    # 2**63 unions, more than sys.maxsize: not even the first is made
+    with pytest.raises(BudgetExceededError, match="63 pairs"):
+        next(iter(_product(_pairs(63), "63 pairs")))
+
+
+def test_product_up_to_maxsize_is_lazy():
+    # 2**62 unions: only the first is made, from each part's first set
+    assert next(_product(_pairs(62), "62 pairs")) == frozenset(range(1, 124, 2))
+
+
+def test_product_of_many_single_sets_is_one_set():
+    parts = [[frozenset({i})] for i in range(1, 1101)]
+    assert list(_product(parts, "1100 parts")) == [frozenset(range(1, 1101))]
+
+
+def test_s_repairs_of_many_components_with_one_repair():
+    inst = load_instance("".join(f"P(c{i}).\n" for i in range(1100)))
+    (repair,) = s_repairs(inst, parse_constraints(":- P(x)."))
+    assert repair.deleted == frozenset(range(1, 1101))
 
 
 @pytest.mark.parametrize(
