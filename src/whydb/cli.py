@@ -19,14 +19,16 @@ call time, so a caller may rebind them (the benchmark's tracer does).
 
 Each handler prints facts through one fact table (`_FactTable`), which
 renders a fact, and encodes its JSON string, the first time it is printed.
-Handlers return tid sets, not lists of strings: `_Facts` (one set) and
-`_FactSets` (a list of sets). A printed set costs one sort and one join. A
-cause's contingency set is printed from its S-repair difference
-(`CauseReport._differences`) with the cause's tid left out, and each
-difference is sorted once however many causes hold it. A repair's retained
-facts, every fact but its k deletions, are k+1 slices of every fact joined
-once per format. The JSON writer puts each flat value (`_flat`) in one
-piece: one piece per repair, and one per cause with all its contingency sets.
+Handlers return tid sets, not lists of strings: `_Facts` (one set),
+`_FactSets` (a list of sets) and `_Repair` (a repair's deleted facts and
+the rest). A listed set is cut out of text joined once. A repair costs one
+sort and one join of its deleted facts; its retained facts are one join of
+the slices between them of every fact's text, joined once per format. A
+cause's contingency set is two slices of its S-repair difference
+(`CauseReport._differences`), joined once however many causes hold it. A
+repair's text line and its JSON object are each one f-string. The JSON
+writer puts each flat value (`_flat`) in one piece: one piece per repair,
+and one per cause with all its contingency sets.
 """
 
 from __future__ import annotations
@@ -35,10 +37,11 @@ import argparse
 import os
 import sys
 from functools import cache
-from itertools import accumulate, pairwise
+from itertools import accumulate, count
 from json.encoder import encode_basestring_ascii
+from operator import add
 from pathlib import Path
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 from ._version import __version__
 from .asp import AspDialect, CausalityOptions, emit_causality_program, emit_repair_program
@@ -111,44 +114,68 @@ class _FactTable:
     """One command's facts by tid: `text[tid]` renders a fact the first time
     it is printed, and `json[tid]` encodes that text as a JSON string the
     first time it is written. So each fact is rendered at most once, and
-    only if it is printed. Handlers hand tid sets to the writer as `_Facts`
-    and `_FactSets` of the table."""
+    only if it is printed. Handlers hand tid sets to the writer as `_Facts`,
+    `_FactSets` and `_Repair`s of the table.
+
+    A listed set is cut out of text joined once. A repair's retained facts
+    are the slices of every fact's text, joined once per separator, between
+    its deleted facts (`split`). A cause's contingency set is its S-repair
+    difference, joined once per separator, less the cause: two slices of
+    that text (`cuts`)."""
 
     def __init__(self, inst):
         self._inst = inst
         self.text = _Memo(lambda tid: inst.fact(tid).render())
         self.json = _Memo(lambda tid: encode_basestring_ascii(self.text[tid]))
-        self._sorted = _Memo(sorted)
-        self._place: dict[int, int] = {}
-        self._every: dict[str, tuple[str, list[int]]] = {}
+        self._rows: dict[str, tuple[str, dict[int, int], dict[int, int]]] = {}
+        self._cuts: dict[str, _Memo] = {}
 
-    def join(self, tids, texts: _Memo, sep: str, without: int | None = None) -> str:
-        """The texts of the facts `tids`, in tid order, joined by `sep`; with
-        `without`, the facts but that one. A set printed without a tid is an
-        S-repair difference that each of its causes prints, so its sorted
-        tids are kept for the next."""
-        if without is None:
-            return sep.join(map(texts.__getitem__, sorted(tids)))
-        return sep.join([texts[u] for u in self._sorted[tids] if u != without])
-
-    def join_without(self, deleted, texts: _Memo, sep: str) -> str:
-        """The texts of every fact but `deleted`, in tid order, joined by
-        `sep`: k+1 slices of every fact's text joined once per separator
-        (each format has its own), where k is the number deleted."""
-        facts = self._inst.facts
-        if not self._place:
-            self._place = {f.tid: i for i, f in enumerate(facts)}
-        if sep not in self._every:
-            every = [texts[f.tid] for f in facts]
+    def split(self, deleted, texts: _Memo, sep: str) -> tuple[str, str]:
+        """The texts of the facts `deleted`, and of every other fact, each in
+        tid order and joined by `sep`: one sort, one join, and one join of
+        the k+1 slices of every fact's text, each followed by `sep`, that
+        lie around the k deleted ones, less the last `sep`."""
+        order = sorted(deleted)
+        if sep not in self._rows:
+            tids = [f.tid for f in self._inst.facts]
+            every = [texts[tid] for tid in tids]
             starts = list(accumulate((len(t) + len(sep) for t in every), initial=0))
-            self._every[sep] = (sep.join(every), starts)
-        joined, starts = self._every[sep]
-        # The places of the deleted facts, bracketed by the ends of the list:
-        # the kept facts lie between two of them at least two places apart.
-        cuts = [-1, *map(self._place.__getitem__, sorted(deleted)), len(facts)]
-        end = len(sep)
-        runs = [(a + 1, b) for a, b in pairwise(cuts) if b > a + 1]
-        return sep.join([joined[starts[i] : starts[j] - end] for i, j in runs])
+            self._rows[sep] = (
+                sep.join(every) + sep,
+                dict(zip(tids, starts)),
+                dict(zip(tids, starts[1:])),
+            )
+        joined, starts, stops = self._rows[sep]
+        lefts = [0, *map(stops.__getitem__, order)]
+        rights = [*map(starts.__getitem__, order), len(joined)]
+        kept = "".join(map(joined.__getitem__, map(slice, lefts, rights)))
+        return sep.join(map(texts.__getitem__, order)), kept[: -len(sep)]
+
+    def cuts(self, texts: _Memo, start: str, sep: str, end: str) -> _Memo:
+        """`cuts[d]` is `(whole, order, at)` for a tid set `d`: `whole` is
+        the texts of its facts in tid order, joined by `sep` between `start`
+        and `end` (or just the brackets, if `d` is empty), and `order` its
+        sorted tids. Without `order[i]` the text is `whole[:at[i] - n] +
+        whole[at[i + 1] - n:]`, where `n` is `len(sep)` if `i` else 0. Each
+        set is joined once per separator, however many causes print it."""
+        if sep not in self._cuts:
+            self._cuts[sep] = _Memo(lambda d: _joined(d, texts, start, sep, end))
+        return self._cuts[sep]
+
+
+def _joined(d, texts: _Memo, start: str, sep: str, end: str) -> tuple:
+    """The value of `_FactTable.cuts(texts, start, sep, end)[d]`."""
+    order = tuple(sorted(d))
+    items = list(map(texts.__getitem__, order))
+    whole = start + sep.join(items) + end if items else start[0] + end[-1]
+    if len(items) <= 1:  # without its one fact, the set is its brackets
+        return whole, order, (1, len(whole) - 1)
+    # at[i] is where the i-th text starts, and at[k] one separator past the
+    # last: the first text is cut out with the separator after it, any
+    # other with the separator before it.
+    n = len(sep)
+    ends = accumulate(map(len, items))
+    return whole, order, (len(start), *map(add, ends, count(len(start) + n, n)))
 
 
 def _json_list(items: str, newline: str) -> str:
@@ -159,37 +186,50 @@ def _json_list(items: str, newline: str) -> str:
 
 
 class _Facts:
-    """The facts with the given tids, or with `rest`, every fact of the
-    instance but those, printed in tid order: in braces as text, one fact
-    per item when iterated (not with `rest`), and as a JSON list of strings
-    by `_flat`."""
+    """The facts with the given tids, printed in tid order: one fact per
+    item when iterated, and as a JSON list of strings by `_flat`."""
 
-    __slots__ = ("tids", "table", "rest")
+    __slots__ = ("tids", "table")
 
-    def __init__(self, tids, table: _FactTable, rest: bool = False):
+    def __init__(self, tids, table: _FactTable):
         self.tids = tids
         self.table = table
-        self.rest = rest
 
     def __iter__(self) -> Iterator[str]:
         return map(self.table.text.__getitem__, sorted(self.tids))
 
-    def _join(self, texts: _Memo, sep: str) -> str:
-        join = self.table.join_without if self.rest else self.table.join
-        return join(self.tids, texts, sep)
+    def json(self, newline: str) -> str:
+        items, end = newline + "  ", newline + "]"
+        return _joined(self.tids, self.table.json, "[" + items, "," + items, end)[0]
 
-    def __str__(self) -> str:
-        return "{" + self._join(self.table.text, ", ") + "}"
+
+class _Repair:
+    """One repair, printed by `_flat` as the JSON object `{"deleted": [...],
+    "retained": [...]}`: the facts with the given tids, and every other
+    fact of the instance, each in tid order (`_FactTable.split`)."""
+
+    __slots__ = ("deleted", "table")
+
+    def __init__(self, deleted, table: _FactTable):
+        self.deleted = deleted
+        self.table = table
 
     def json(self, newline: str) -> str:
-        return _json_list(self._join(self.table.json, "," + newline + "  "), newline)
+        inner = newline + "  "
+        items = inner + "  "
+        cut, kept = self.table.split(self.deleted, self.table.json, "," + items)
+        cut = f"[{items}{cut}{inner}]" if cut else "[]"
+        kept = f"[{items}{kept}{inner}]" if kept else "[]"
+        return f'{{{inner}"deleted": {cut},{inner}"retained": {kept}{newline}}}'
 
 
 class _FactSets:
-    """A list of tid sets, each printed as the facts it holds but `without`
-    (if given): in braces, one text per set, when iterated, and as a JSON
-    list of lists of strings by `_flat`. One object for the whole list,
-    however long."""
+    """A list of tid sets, each printed as its facts in tid order: in
+    braces, one text per set, when iterated, and as a JSON list of lists of
+    strings by `_flat`. With `without`, a cause's contingency sets: each set
+    is an S-repair difference, printed less that tid as two slices of its
+    text joined once (`_FactTable.cuts`); a set without the tid is printed
+    whole. One object for the whole list, however long."""
 
     __slots__ = ("sets", "table", "without")
 
@@ -198,19 +238,32 @@ class _FactSets:
         self.table = table
         self.without = without
 
+    def _texts(self, texts: _Memo, start: str, sep: str, end: str) -> Iterable[str]:
+        """Each set's text, joined by `sep` between `start` and `end`."""
+        if self.without is None:  # one by one, as they are printed
+            return (_joined(g, texts, start, sep, end)[0] for g in self.sets)
+        cuts, t, n = self.table.cuts(texts, start, sep, end), self.without, len(sep)
+        out = []
+        for g in self.sets:
+            whole, order, at = cuts[g]
+            if t in g:
+                i = order.index(t)
+                shift = n if i else 0
+                whole = whole[: at[i] - shift] + whole[at[i + 1] - shift :]
+            out.append(whole)
+        return out
+
     def __iter__(self) -> Iterator[str]:
-        join, text, without = self.table.join, self.table.text, self.without
-        return ("{" + join(g, text, ", ", without) + "}" for g in self.sets)
+        return iter(self._texts(self.table.text, "{", ", ", "}"))
 
     def json(self, newline: str) -> str:
-        join, texts, without = self.table.join, self.table.json, self.without
         inner = newline + "  "
-        sep = "," + inner + "  "
-        lists = [_json_list(join(g, texts, sep, without), inner) for g in self.sets]
+        items = inner + "  "
+        lists = self._texts(self.table.json, "[" + items, "," + items, inner + "]")
         return _json_list(("," + inner).join(lists), newline)
 
 
-_FACT_VALUES = (_Facts, _FactSets)
+_FACT_VALUES = (_Facts, _FactSets, _Repair)
 
 
 def _rho_json(value):
@@ -223,16 +276,12 @@ def _cmd_repairs(args, inst):
     cs = _constraints(args, inst)
     reps = (c_repairs if args.kind == "c" else s_repairs)(inst, cs, _hard(args))
     facts = _FactTable(inst)
-    # a repair retains every fact it does not delete
-    deleted = (r.deleted for r in reps)
-    split = ((_Facts(d, facts), _Facts(d, facts, rest=True)) for d in deleted)
     if args.format == "json":
-        return {
-            "kind": args.kind,
-            "repairs": [{"deleted": cut, "retained": kept} for cut, kept in split],
-        }
+        return {"kind": args.kind, "repairs": [_Repair(r.deleted, facts) for r in reps]}
+    # a repair retains every fact it does not delete
+    split = (facts.split(r.deleted, facts.text, ", ") for r in reps)
     return (
-        f"{args.kind}-repair {i}: deleted {cut} retained {kept}"
+        f"{args.kind}-repair {i}: deleted {{{cut}}} retained {{{kept}}}"
         for i, (cut, kept) in enumerate(split, start=1)
     )
 
@@ -524,9 +573,9 @@ def _encoded() -> _Memo:
 
 
 def _flat(value, memo: _Memo, newline: str) -> str | None:
-    """The JSON text of a flat value, as one piece: a scalar, a `_Facts` or
-    `_FactSets`, a list of strings, or a dict whose values are all flat.
-    None for any other list or dict."""
+    """The JSON text of a flat value, as one piece: a scalar, a `_Facts`,
+    `_FactSets` or `_Repair`, a list of strings, or a dict whose values are
+    all flat. None for any other list or dict."""
     if isinstance(value, str):
         return memo[value]
     if type(value) in _FACT_VALUES:
@@ -562,7 +611,8 @@ def _flat(value, memo: _Memo, newline: str) -> str | None:
 def _json_pieces(value, memo: _Memo, newline: str = "\n") -> Iterator[str]:
     """The text of `json.dumps(value, indent=2)` in pieces, for the values
     that handlers return: str, int, bool, None, `_Facts` and `_FactSets`
-    (as lists of their facts' texts), and lists and dicts of them with str
+    (as lists of their facts' texts), `_Repair` (as the object of its
+    deleted and retained facts), and lists and dicts of them with str
     keys. Any other value, a dict key that is not a str included, raises
     TypeError. `newline` is the line break and indent before the value's
     closing bracket. Each flat value (`_flat`) is in one piece with the punctuation

@@ -33,6 +33,7 @@ from whydb.cli import (
     _FactSets,
     _FactTable,
     _json_pieces,
+    _Repair,
     build_parser,
     main,
 )
@@ -399,9 +400,9 @@ _JSON_SCALARS = (
 def _json_values(draw):
     """A value of the kinds handlers return, and the instance its tid sets
     are drawn from: facts P(c), with constants that hold what JSON escapes
-    and tids out of file order. Its leaves are scalars, tid sets (`_Facts`,
-    either way round) and lists of them (`_FactSets`, some with a tid left
-    out)."""
+    and tids out of file order. Its leaves are scalars, tid sets (`_Facts`),
+    repairs (`_Repair`: a tid set and every other fact) and lists of tid
+    sets (`_FactSets`, some with a tid left out, in the sets or not)."""
     constants = draw(
         st.lists(_JSON_STRINGS.filter(is_constant), min_size=1, max_size=5, unique=True)
     )
@@ -412,11 +413,15 @@ def _json_values(draw):
     inst = Instance(Fact("P", (c,), t) for c, t in zip(constants, tids))
     table = _FactTable(inst)
     tid_sets = st.frozensets(st.sampled_from(tids))
-    facts = st.builds(_Facts, tid_sets, st.just(table), st.booleans()) | st.builds(
-        _FactSets,
-        st.lists(tid_sets, max_size=4),
-        st.just(table),
-        st.none() | st.sampled_from(tids),
+    facts = (
+        st.builds(_Facts, tid_sets, st.just(table))
+        | st.builds(_Repair, tid_sets, st.just(table))
+        | st.builds(
+            _FactSets,
+            st.lists(tid_sets, max_size=4),
+            st.just(table),
+            st.none() | st.sampled_from(tids),
+        )
     )
     value = st.recursive(
         _JSON_SCALARS | facts,
@@ -430,13 +435,16 @@ def _json_values(draw):
 
 def _plain(inst, value):
     """`value` with each `_Facts` and `_FactSets` as the lists of fact texts
-    it stands for."""
+    it stands for, and each `_Repair` as the dict of its deleted and
+    retained facts' texts."""
 
     def texts(tids):
         return [inst.fact(t).render() for t in sorted(tids)]
 
     if isinstance(value, _Facts):
-        return texts(inst.tids - value.tids if value.rest else value.tids)
+        return texts(value.tids)
+    if isinstance(value, _Repair):
+        return {"deleted": texts(value.deleted), "retained": texts(inst.tids - value.deleted)}
     if isinstance(value, _FactSets):
         return [texts(g - {value.without}) for g in value.sets]
     if isinstance(value, list):
@@ -457,6 +465,54 @@ def test_json_pieces_are_json_dumps(case):
     # as one piece wherever it sits: the bytes are still json.dumps's
     inst, value = case
     assert _json_text(value) == json.dumps(_plain(inst, value), indent=2)
+
+
+@st.composite
+def _cut_cases(draw):
+    """An instance of facts P(c), with constants that JSON escapes and tids
+    out of file order, and a tid set of it: drawn at random, or none, every
+    one, the first, the last, or two adjacent tids."""
+    constants = draw(
+        st.lists(_JSON_STRINGS.filter(is_constant), min_size=1, max_size=6, unique=True)
+    )
+    tids = draw(
+        st.lists(st.integers(1, 40), min_size=len(constants), max_size=len(constants),
+                 unique=True)
+    )
+    inst = Instance(Fact("P", (c,), t) for c, t in zip(constants, tids))
+    order = sorted(tids)
+    chosen = draw(
+        st.frozensets(st.sampled_from(tids))
+        | st.sampled_from([(), order, order[:1], order[-1:]]).map(frozenset)
+        | st.integers(0, len(order) - 1).map(lambda i: frozenset(order[i : i + 2]))
+    )
+    return inst, chosen
+
+
+@settings(deadline=None, max_examples=300)
+@given(_cut_cases())
+def test_cut_sets_are_the_plain_joins(case):
+    """A repair's deleted and retained facts, and a cause's contingency sets
+    cut out of its S-repair difference (each tid of the set left out in
+    turn, on one table, and a tid outside it), in text and JSON, are the
+    plain joins of the sorted texts of the facts they stand for."""
+    inst, chosen = case
+    table = _FactTable(inst)
+
+    def texts(tids):
+        return [inst.fact(t).render() for t in sorted(tids)]
+
+    rest = inst.tids - chosen
+    plain = (", ".join(texts(chosen)), ", ".join(texts(rest)))
+    assert table.split(chosen, table.text, ", ") == plain
+    assert _Repair(chosen, table).json("\n") == json.dumps(
+        {"deleted": texts(chosen), "retained": texts(rest)}, indent=2
+    )
+    for left_out in (*sorted(chosen), max(inst.tids) + 1):
+        sets = _FactSets([chosen, chosen], table, left_out)
+        kept = texts(chosen - {left_out})
+        assert list(sets) == ["{" + ", ".join(kept) + "}"] * 2
+        assert sets.json("\n") == json.dumps([kept, kept], indent=2)
 
 
 class _Pieces:
@@ -575,6 +631,29 @@ def test_json_output_is_streamed(tmp_path):
         chars[fmt] = sink.chars
     assert chars["json"] > 1_000_000 and chars["text"] > 500_000, chars
     assert peaks["json"] <= 1.5 * peaks["text"], peaks
+
+
+def test_json_causes_are_streamed(tmp_path):
+    # chain-42's causes as JSON, 2.1 MB: each cause is rendered as it is
+    # written, and each S-repair difference's text is kept once for all its
+    # causes. The peak is about 2.4 MB; rendering every cause before the
+    # first write takes it to about 4.2 MB
+    chain = tmp_path / "chain.facts"
+    facts = load_bench("chain_causes").instance(42)
+    chain.write_text("".join(f"{p}({','.join(a)}).\n" for p, a in facts))
+    argv = ["causes", "--db", str(chain), "-q", QSTAR_TEXT, "--format", "json"]
+    with redirect_stdout(_CountingSink()):
+        assert main(argv) == 0  # imports and the parser, before tracing
+    sink = _CountingSink()
+    with redirect_stdout(sink):
+        tracemalloc.start()
+        try:
+            assert main(argv) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert sink.chars > 2_000_000, sink.chars
+    assert peak < 3_000_000, peak
 
 
 def test_query_command(files, capsys):
