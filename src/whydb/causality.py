@@ -9,17 +9,18 @@ differences. Responsibilities are exact rationals, never floats.
 
 The per-tuple answers read the negated query's `Hypergraph`: `dif_s` and
 `contingency_sets` take only the S-repair differences holding the tuple,
-and `responsibility` only the size of a smallest one. `dif_c` and
-`most_responsible_causes` read `c_repairs`, which finds the minimum
-hitting sets directly. Only `actual_causes` and `causes_under_ics` list
-every S-repair: they report every cause, and hard constraints judge whole
-repairs. A report they return holds the S-repair differences with its
-tuple, the very sets `s_repairs` listed, shared between the causes, and
-makes its contingency sets from them when they are first read. Every
-list of differences is a product over the hypergraph's connected
-components, and every size a sum over them. A thousand deletions inside
-one component, past the recursion limit, or more than sys.maxsize
-differences, more than a list can hold, raise BudgetExceededError.
+and `responsibility` only the size of a smallest one. `dif_c` takes only
+the minimum hitting sets holding the tuple, and `most_responsible_causes`
+reads `c_repairs`, which finds those sets directly. Only `actual_causes`
+and `causes_under_ics` list every S-repair: they report every cause, and
+hard constraints judge whole repairs. A report they return holds the
+S-repair differences with its tuple, the very sets `s_repairs` listed,
+shared between the causes, and makes its contingency sets from them when
+they are first read. Every list of differences is a product over the
+hypergraph's connected components, and every size a sum over them. A
+thousand deletions inside one component, past the recursion limit, or
+more than sys.maxsize differences, more than a list can hold, raise
+BudgetExceededError.
 """
 
 from __future__ import annotations
@@ -36,6 +37,7 @@ from .repair import (
     Hypergraph,
     ReferentialConstraint,
     _Lazy,
+    _by_size,
     c_repairs,
     s_repairs,
     satisfies_hard,
@@ -88,10 +90,11 @@ def dif_s(inst: Instance, q: UCQ, t: int) -> list[DiffSet]:
 
 
 def dif_c(inst: Instance, q: UCQ, t: int) -> list[DiffSet]:
-    """Deletion differences of C-repairs containing t."""
+    """Deletion differences of C-repairs containing t, sorted by (size,
+    tids)."""
     inst.fact(t)
-    reps = c_repairs(inst, negate_query(q))
-    return [DiffSet(r.deleted, "c_repair") for r in reps if t in r.deleted]
+    found = Hypergraph.of(inst, negate_query(q)).minimum_hitting_sets()
+    return [DiffSet(d, "c_repair") for d in sorted(found, key=_by_size) if t in d]
 
 
 def _reports(

@@ -17,18 +17,18 @@ the whole document before the first piece, so an error prints nothing on
 stdout. Handlers reach the library through this module's global names at
 call time, so a caller may rebind them (the benchmark's tracer does).
 
-Each handler prints facts through one fact table (`_FactTable`), which
-renders a fact, and encodes its JSON string, the first time it is printed.
-Handlers return tid sets, not lists of strings: `_Facts` (one set),
-`_FactSets` (a list of sets) and `_Repair` (a repair's deleted facts and
+Handlers return listed fact sets as tid sets of a fact table
+(`_FactTable`), which renders a fact the first time it is printed: a
+`_FactSets` (a list of sets) or a `_Repair` (a repair's deleted facts and
 the rest). A listed set is cut out of text joined once. A repair costs one
 sort and one join of its deleted facts; its retained facts are one join of
 the slices between them of every fact's text, joined once per format. A
 cause's contingency set is two slices of its S-repair difference
 (`CauseReport._differences`), joined once however many causes hold it. A
 repair's text line and its JSON object are each one f-string. The JSON
-writer puts each flat value (`_flat`) in one piece: one piece per repair,
-and one per cause with all its contingency sets.
+writer writes a piece per document field, and a non-empty list field as
+its key, a piece per item and its closing bracket: one piece per repair,
+and per cause with all its contingency sets, made as it is written.
 """
 
 from __future__ import annotations
@@ -41,7 +41,7 @@ from itertools import accumulate, count
 from json.encoder import encode_basestring_ascii
 from operator import add
 from pathlib import Path
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Callable, Iterator, Sequence
 
 from ._version import __version__
 from .asp import AspDialect, CausalityOptions, emit_causality_program, emit_repair_program
@@ -114,8 +114,8 @@ class _FactTable:
     """One command's facts by tid: `text[tid]` renders a fact the first time
     it is printed, and `json[tid]` encodes that text as a JSON string the
     first time it is written. So each fact is rendered at most once, and
-    only if it is printed. Handlers hand tid sets to the writer as `_Facts`,
-    `_FactSets` and `_Repair`s of the table.
+    only if it is printed. Handlers hand tid sets to the writer as the two
+    fact values of the table, `_FactSets` and `_Repair`.
 
     A listed set is cut out of text joined once. A repair's retained facts
     are the slices of every fact's text, joined once per separator, between
@@ -185,26 +185,8 @@ def _json_list(items: str, newline: str) -> str:
     return "[" + newline + "  " + items + newline + "]" if items else "[]"
 
 
-class _Facts:
-    """The facts with the given tids, printed in tid order: one fact per
-    item when iterated, and as a JSON list of strings by `_flat`."""
-
-    __slots__ = ("tids", "table")
-
-    def __init__(self, tids, table: _FactTable):
-        self.tids = tids
-        self.table = table
-
-    def __iter__(self) -> Iterator[str]:
-        return map(self.table.text.__getitem__, sorted(self.tids))
-
-    def json(self, newline: str) -> str:
-        items, end = newline + "  ", newline + "]"
-        return _joined(self.tids, self.table.json, "[" + items, "," + items, end)[0]
-
-
 class _Repair:
-    """One repair, printed by `_flat` as the JSON object `{"deleted": [...],
+    """One repair, written by `_json` as the JSON object `{"deleted": [...],
     "retained": [...]}`: the facts with the given tids, and every other
     fact of the instance, each in tid order (`_FactTable.split`)."""
 
@@ -226,10 +208,10 @@ class _Repair:
 class _FactSets:
     """A list of tid sets, each printed as its facts in tid order: in
     braces, one text per set, when iterated, and as a JSON list of lists of
-    strings by `_flat`. With `without`, a cause's contingency sets: each set
-    is an S-repair difference, printed less that tid as two slices of its
-    text joined once (`_FactTable.cuts`); a set without the tid is printed
-    whole. One object for the whole list, however long."""
+    strings by `_json`. Each set is joined once (`_FactTable.cuts`) and
+    printed less the tid `without`, as two slices of that text: a cause's
+    contingency sets are its S-repair differences less the cause. A set
+    without the tid, as every set when `without` is None, prints whole."""
 
     __slots__ = ("sets", "table", "without")
 
@@ -238,10 +220,8 @@ class _FactSets:
         self.table = table
         self.without = without
 
-    def _texts(self, texts: _Memo, start: str, sep: str, end: str) -> Iterable[str]:
+    def _texts(self, texts: _Memo, start: str, sep: str, end: str) -> list[str]:
         """Each set's text, joined by `sep` between `start` and `end`."""
-        if self.without is None:  # one by one, as they are printed
-            return (_joined(g, texts, start, sep, end)[0] for g in self.sets)
         cuts, t, n = self.table.cuts(texts, start, sep, end), self.without, len(sep)
         out = []
         for g in self.sets:
@@ -263,7 +243,7 @@ class _FactSets:
         return _json_list(("," + inner).join(lists), newline)
 
 
-_FACT_VALUES = (_Facts, _FactSets, _Repair)
+_FACT_VALUES = (_FactSets, _Repair)
 
 
 def _rho_json(value):
@@ -342,7 +322,7 @@ def _cmd_responsibility(args, inst):
 
 def _fact_list(args, inst, key: str, tids):
     """One fact per line, or the facts as the JSON field `key`."""
-    facts = _Facts(tids, _FactTable(inst))
+    facts = [inst.fact(tid).render() for tid in sorted(tids)]
     return {key: facts} if args.format == "json" else facts
 
 
@@ -572,30 +552,30 @@ def _encoded() -> _Memo:
     return _Memo(encode_basestring_ascii)
 
 
-def _flat(value, memo: _Memo, newline: str) -> str | None:
-    """The JSON text of a flat value, as one piece: a scalar, a `_Facts`,
-    `_FactSets` or `_Repair`, a list of strings, or a dict whose values are
-    all flat. None for any other list or dict."""
+def _json(value, memo: _Memo, newline: str) -> str:
+    """The JSON text of a value that handlers return, as `json.dumps(value,
+    indent=2)` writes it: str, int, bool, None, `_FactSets` (as a list of
+    lists of its facts' texts), `_Repair` (as the object of its deleted and
+    retained facts), and lists and dicts of them with str keys. Any other
+    value, a dict key that is not a str included, raises TypeError.
+    `newline` is the line break and indent before the value's closing
+    bracket."""
     if isinstance(value, str):
         return memo[value]
     if type(value) in _FACT_VALUES:
         return value.json(newline)
+    inner = newline + "  "
     if isinstance(value, list):
         try:  # a list of strings, with no test per item
-            items = ("," + newline + "  ").join(map(memo.__getitem__, value))
+            items = ("," + inner).join(map(memo.__getitem__, value))
         except TypeError:  # an item is not a string
-            return None
+            items = ("," + inner).join([_json(item, memo, inner) for item in value])
         return _json_list(items, newline)
     if isinstance(value, dict):
-        inner = newline + "  "
-        items = []
-        for key, item in value.items():
-            text = _flat(item, memo, inner)
-            if text is None:
-                return None
-            items.append(memo[key] + ": " + text)  # TypeError if key is no str
-        if not items:
+        if not value:
             return "{}"
+        # memo[key] raises TypeError for a key that is not a str
+        items = (memo[k] + ": " + _json(v, memo, inner) for k, v in value.items())
         return "{" + inner + ("," + inner).join(items) + newline + "}"
     if value is None:
         return "null"
@@ -608,34 +588,29 @@ def _flat(value, memo: _Memo, newline: str) -> str | None:
     raise TypeError(f"{type(value).__name__} is not a JSON value here")
 
 
-def _json_pieces(value, memo: _Memo, newline: str = "\n") -> Iterator[str]:
-    """The text of `json.dumps(value, indent=2)` in pieces, for the values
-    that handlers return: str, int, bool, None, `_Facts` and `_FactSets`
-    (as lists of their facts' texts), `_Repair` (as the object of its
-    deleted and retained facts), and lists and dicts of them with str
-    keys. Any other value, a dict key that is not a str included, raises
-    TypeError. `newline` is the line break and indent before the value's
-    closing bracket. Each flat value (`_flat`) is in one piece with the punctuation
-    before it: one piece per repair, or per cause with all its sets."""
-    text = _flat(value, memo, newline)
-    if text is not None:
-        yield text
+def _json_pieces(doc, memo: _Memo) -> Iterator[str]:
+    """The text of `json.dumps(doc, indent=2)` in pieces, one per field of
+    the document, each with the punctuation before it. A non-empty list
+    field is its key, one piece per item and its closing bracket: one piece
+    per repair, or per cause with all its sets, each written as it is made.
+    A value that is not a non-empty dict is one piece (`_json`)."""
+    if not isinstance(doc, dict) or not doc:
+        yield _json(doc, memo, "\n")
         return
-    inner = newline + "  "
-    if isinstance(value, list):
-        sep, items, close = "[" + inner, (("", item) for item in value), "]"
-    else:  # memo[key] raises TypeError for a key that is not a str
-        sep, items = "{" + inner, ((memo[k] + ": ", v) for k, v in value.items())
-        close = "}"
-    for key, item in items:
-        text = _flat(item, memo, inner)
-        if text is None:
-            yield sep + key
-            yield from _json_pieces(item, memo, inner)
+    sep = "{\n  "
+    for key, value in doc.items():
+        head = sep + memo[key] + ": "  # TypeError for a key that is not a str
+        sep = ",\n  "
+        if isinstance(value, list) and value:
+            yield head
+            items = "[\n    "
+            for item in value:
+                yield items + _json(item, memo, "\n    ")
+                items = ",\n    "
+            yield "\n  ]"
         else:
-            yield sep + key + text
-        sep = "," + inner
-    yield newline + close
+            yield head + _json(value, memo, "\n  ")
+    yield "\n}"
 
 
 def _report(exc: object) -> None:

@@ -9,6 +9,7 @@ import tracemalloc
 from collections import Counter
 from contextlib import redirect_stdout
 from pathlib import Path
+from unittest.mock import patch
 
 import pytest
 from hypothesis import given, settings
@@ -29,7 +30,6 @@ from whydb import (
 from whydb import cli
 from whydb.cli import (
     _encoded,
-    _Facts,
     _FactSets,
     _FactTable,
     _json_pieces,
@@ -40,6 +40,7 @@ from whydb.cli import (
 from whydb.core import is_constant
 
 from conftest import D2STAR_TEXT, DSTAR_TEXT, K12_TEXT, QSTAR_TEXT, load_bench
+from test_cli_golden import GOLDEN, _cases, _write_files
 
 
 @pytest.fixture
@@ -400,9 +401,9 @@ _JSON_SCALARS = (
 def _json_values(draw):
     """A value of the kinds handlers return, and the instance its tid sets
     are drawn from: facts P(c), with constants that hold what JSON escapes
-    and tids out of file order. Its leaves are scalars, tid sets (`_Facts`),
-    repairs (`_Repair`: a tid set and every other fact) and lists of tid
-    sets (`_FactSets`, some with a tid left out, in the sets or not)."""
+    and tids out of file order. Its leaves are scalars, repairs (`_Repair`:
+    a tid set and every other fact) and lists of tid sets (`_FactSets`,
+    some with a tid left out, in the sets or not, some with none)."""
     constants = draw(
         st.lists(_JSON_STRINGS.filter(is_constant), min_size=1, max_size=5, unique=True)
     )
@@ -414,8 +415,7 @@ def _json_values(draw):
     table = _FactTable(inst)
     tid_sets = st.frozensets(st.sampled_from(tids))
     facts = (
-        st.builds(_Facts, tid_sets, st.just(table))
-        | st.builds(_Repair, tid_sets, st.just(table))
+        st.builds(_Repair, tid_sets, st.just(table))
         | st.builds(
             _FactSets,
             st.lists(tid_sets, max_size=4),
@@ -434,15 +434,13 @@ def _json_values(draw):
 
 
 def _plain(inst, value):
-    """`value` with each `_Facts` and `_FactSets` as the lists of fact texts
-    it stands for, and each `_Repair` as the dict of its deleted and
-    retained facts' texts."""
+    """`value` with each `_FactSets` as the lists of fact texts it stands
+    for, and each `_Repair` as the dict of its deleted and retained facts'
+    texts."""
 
     def texts(tids):
         return [inst.fact(t).render() for t in sorted(tids)]
 
-    if isinstance(value, _Facts):
-        return texts(value.tids)
     if isinstance(value, _Repair):
         return {"deleted": texts(value.deleted), "retained": texts(inst.tids - value.deleted)}
     if isinstance(value, _FactSets):
@@ -461,8 +459,8 @@ def _json_text(value) -> str:
 @settings(deadline=None, max_examples=300)
 @given(_json_values())
 def test_json_pieces_are_json_dumps(case):
-    # tid sets are written as their facts' texts, and a dict of flat values
-    # as one piece wherever it sits: the bytes are still json.dumps's
+    # tid sets are written as their facts' texts, and a document's list
+    # fields one item per piece: the bytes are still json.dumps's
     inst, value = case
     assert _json_text(value) == json.dumps(_plain(inst, value), indent=2)
 
@@ -494,8 +492,9 @@ def _cut_cases(draw):
 def test_cut_sets_are_the_plain_joins(case):
     """A repair's deleted and retained facts, and a cause's contingency sets
     cut out of its S-repair difference (each tid of the set left out in
-    turn, on one table, and a tid outside it), in text and JSON, are the
-    plain joins of the sorted texts of the facts they stand for."""
+    turn, on one table, a tid outside it, and none, as `contingency` prints
+    them), in text and JSON, are the plain joins of the sorted texts of the
+    facts they stand for."""
     inst, chosen = case
     table = _FactTable(inst)
 
@@ -508,7 +507,7 @@ def test_cut_sets_are_the_plain_joins(case):
     assert _Repair(chosen, table).json("\n") == json.dumps(
         {"deleted": texts(chosen), "retained": texts(rest)}, indent=2
     )
-    for left_out in (*sorted(chosen), max(inst.tids) + 1):
+    for left_out in (*sorted(chosen), max(inst.tids) + 1, None):
         sets = _FactSets([chosen, chosen], table, left_out)
         kept = texts(chosen - {left_out})
         assert list(sets) == ["{" + ", ".join(kept) + "}"] * 2
@@ -544,6 +543,46 @@ def test_json_writes_one_piece_per_repair_and_per_cause(files):
             assert main([*argv, "--db", db, "--format", "json"]) == 0
         doc = json.loads("".join(sink.pieces))
         assert len(sink.pieces) == len(doc) + len(doc[items]) + 3, argv
+
+
+def _rule_pieces(doc: dict) -> list[str]:
+    """The pieces the JSON writer's rule gives for `doc`: one per field, with
+    the punctuation before it; a non-empty list field as its key, one piece
+    per item and its closing bracket; then the document's closing bracket
+    and the final newline. `contingency_sets` holds a fact value
+    (`_FactSets`), not a list, so it is one piece."""
+    pieces, sep = [], "{\n  "
+    for key, value in doc.items():
+        head = sep + json.dumps(key) + ": "
+        sep = ",\n  "
+        if isinstance(value, list) and value and key != "contingency_sets":
+            pieces.append(head)
+            pieces += [
+                ("[" if i == 0 else ",") + "\n    "
+                + json.dumps(item, indent=2).replace("\n", "\n    ")
+                for i, item in enumerate(value)
+            ]
+            pieces.append("\n  ]")
+        else:
+            pieces.append(head + json.dumps(value, indent=2).replace("\n", "\n  "))
+    return [*pieces, "\n}", "\n"]
+
+
+def test_json_pieces_follow_the_rule_in_every_golden_case(tmp_path, monkeypatch):
+    # every JSON case of the CLI goldens: its pieces make up the golden
+    # bytes, and they are the pieces of the one rule
+    monkeypatch.delenv("WHYDB_ORACLE_GUARD", raising=False)
+    golden = json.loads(GOLDEN.read_text(encoding="utf-8"))
+    _write_files(tmp_path)
+    cases = {name: case for name, case in _cases().items() if name.endswith(".json")}
+    assert len(cases) == 75
+    for name, (argv, env) in cases.items():
+        sink = _Pieces()
+        with patch.dict(os.environ, env), redirect_stdout(sink):
+            code = main([a.replace("{dir}", str(tmp_path)) for a in argv])
+        out = "".join(sink.pieces)
+        assert (code, out) == (golden[name]["exit"], golden[name]["stdout"]), name
+        assert sink.pieces == (_rule_pieces(json.loads(out)) if out else []), name
 
 
 @pytest.mark.parametrize(
