@@ -26,9 +26,10 @@ the slices between them of every fact's text, joined once per format. A
 cause's contingency set is two slices of its S-repair difference
 (`CauseReport._differences`), joined once however many causes hold it. A
 repair's text line and its JSON object are each one f-string. The JSON
-writer writes a piece per document field, and a non-empty list field as
-its key, a piece per item and its closing bracket: one piece per repair,
-and per cause with all its contingency sets, made as it is written.
+writer writes a piece per document field, and a non-empty list field, or
+list of fact sets, as its key, a piece per item and its closing bracket:
+one piece per repair, per cause with all its contingency sets, and per
+contingency set of `contingency`, made as it is written.
 """
 
 from __future__ import annotations
@@ -208,10 +209,11 @@ class _Repair:
 class _FactSets:
     """A list of tid sets, each printed as its facts in tid order: in
     braces, one text per set, when iterated, and as a JSON list of lists of
-    strings by `_json`. Each set is joined once (`_FactTable.cuts`) and
-    printed less the tid `without`, as two slices of that text: a cause's
-    contingency sets are its S-repair differences less the cause. A set
-    without the tid, as every set when `without` is None, prints whole."""
+    strings by `_json`, or one list per piece by `_json_pieces`. Each set is
+    joined once (`_FactTable.cuts`) and printed less the tid `without`, as
+    two slices of that text: a cause's contingency sets are its S-repair
+    differences less the cause. A set without the tid, as every set when
+    `without` is None, prints whole. The texts are made one by one."""
 
     __slots__ = ("sets", "table", "without")
 
@@ -220,27 +222,29 @@ class _FactSets:
         self.table = table
         self.without = without
 
-    def _texts(self, texts: _Memo, start: str, sep: str, end: str) -> list[str]:
+    def _texts(self, texts: _Memo, start: str, sep: str, end: str) -> Iterator[str]:
         """Each set's text, joined by `sep` between `start` and `end`."""
         cuts, t, n = self.table.cuts(texts, start, sep, end), self.without, len(sep)
-        out = []
         for g in self.sets:
             whole, order, at = cuts[g]
             if t in g:
                 i = order.index(t)
                 shift = n if i else 0
                 whole = whole[: at[i] - shift] + whole[at[i + 1] - shift :]
-            out.append(whole)
-        return out
+            yield whole
 
     def __iter__(self) -> Iterator[str]:
-        return iter(self._texts(self.table.text, "{", ", ", "}"))
+        return self._texts(self.table.text, "{", ", ", "}")
+
+    def json_items(self, newline: str) -> Iterator[str]:
+        """Each set's JSON list; `newline` is the line break and indent
+        before its closing bracket."""
+        items = newline + "  "
+        return self._texts(self.table.json, "[" + items, "," + items, newline + "]")
 
     def json(self, newline: str) -> str:
         inner = newline + "  "
-        items = inner + "  "
-        lists = self._texts(self.table.json, "[" + items, "," + items, inner + "]")
-        return _json_list(("," + inner).join(lists), newline)
+        return _json_list(("," + inner).join(self.json_items(inner)), newline)
 
 
 _FACT_VALUES = (_FactSets, _Repair)
@@ -591,9 +595,10 @@ def _json(value, memo: _Memo, newline: str) -> str:
 def _json_pieces(doc, memo: _Memo) -> Iterator[str]:
     """The text of `json.dumps(doc, indent=2)` in pieces, one per field of
     the document, each with the punctuation before it. A non-empty list
-    field is its key, one piece per item and its closing bracket: one piece
-    per repair, or per cause with all its sets, each written as it is made.
-    A value that is not a non-empty dict is one piece (`_json`)."""
+    field, or `_FactSets` field, is its key, one piece per item and its
+    closing bracket: one piece per repair, per cause with all its sets, or
+    per contingency set, each written as it is made. A value that is not a
+    non-empty dict is one piece (`_json`)."""
     if not isinstance(doc, dict) or not doc:
         yield _json(doc, memo, "\n")
         return
@@ -602,14 +607,18 @@ def _json_pieces(doc, memo: _Memo) -> Iterator[str]:
         head = sep + memo[key] + ": "  # TypeError for a key that is not a str
         sep = ",\n  "
         if isinstance(value, list) and value:
-            yield head
-            items = "[\n    "
-            for item in value:
-                yield items + _json(item, memo, "\n    ")
-                items = ",\n    "
-            yield "\n  ]"
+            texts = (_json(item, memo, "\n    ") for item in value)
+        elif type(value) is _FactSets and value.sets:
+            texts = value.json_items("\n    ")
         else:
             yield head + _json(value, memo, "\n  ")
+            continue
+        yield head
+        items = "[\n    "
+        for text in texts:
+            yield items + text
+            items = ",\n    "
+        yield "\n  ]"
     yield "\n}"
 
 

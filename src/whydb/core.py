@@ -128,6 +128,12 @@ class Instance:
                 )
             by_tid[tid] = fact
             keys.add(key)
+        self._build(by_tid)
+
+    def _build(self, by_tid: dict[int, Fact]) -> "Instance":
+        """Fill the slots from facts that are already checked, by tid: the
+        checks of `__init__`, or those of the instance a part is taken from.
+        Returns the instance."""
         ordered = tuple([by_tid[tid] for tid in sorted(by_tid)])
         by_pred: dict[str, list[Fact]] = {}
         for fact in ordered:
@@ -135,9 +141,11 @@ class Instance:
         self._facts = ordered
         self._by_tid = by_tid
         self._by_pred = {p: tuple(fs) for p, fs in by_pred.items()}
-        self._arities = {p: arities[p] for p in by_pred}  # in tid order, too
+        # in tid order, too
+        self._arities = {p: len(fs[0].args) for p, fs in by_pred.items()}
         self._tids = frozenset(by_tid)
         self._endo = frozenset(t for t, f in by_tid.items() if not f.exogenous)
+        return self
 
     @property
     def facts(self) -> tuple[Fact, ...]:
@@ -169,11 +177,13 @@ class Instance:
 
     def restrict(self, tids: Iterable[int]) -> "Instance":
         keep = frozenset(tids)
-        return Instance(f for f in self._facts if f.tid in keep)
+        part = {f.tid: f for f in self._facts if f.tid in keep}
+        return object.__new__(Instance)._build(part)
 
     def without(self, tids: Iterable[int]) -> "Instance":
         drop = frozenset(tids)
-        return Instance(f for f in self._facts if f.tid not in drop)
+        part = {f.tid: f for f in self._facts if f.tid not in drop}
+        return object.__new__(Instance)._build(part)
 
     def to_text(self) -> str:
         """Serialize back to fact-file form (explicit tids, so reloading

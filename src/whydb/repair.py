@@ -17,7 +17,11 @@ component, and each component's smallest size is found once.
 One lazy search lists a family's minimal hitting sets, cut at a size if
 asked; a smallest size is the least cut under which it finds one. The
 search cuts a branch once a chosen tuple meets no edge alone, so it
-reaches only minimal hitting sets. From the hypergraph come the S-repairs,
+reaches only minimal hitting sets. It runs on Python ints: each component
+is held once as a `_Family`, one bit per tuple in tid order, each edge a
+mask of its tuples, and each tuple's edges a mask of edge indices, so a
+step of the search costs a few int operations per chosen tuple, not a
+pass over its edges. From the hypergraph come the S-repairs,
 the C-repairs, the S-repairs holding one tuple, and the smallest of those.
 `s_repairs` lists them all, less those breaking a hard constraint, which
 judges a whole repair; `c_repairs` with hard constraints keeps the smallest
@@ -35,6 +39,7 @@ from __future__ import annotations
 import itertools
 import math
 import sys
+from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, Sequence, Union
 
@@ -187,75 +192,154 @@ def _by_size(deleted: frozenset[int]) -> tuple[int, tuple[int, ...]]:
     return (len(deleted), _canonical(deleted))
 
 
-def _disjoint_count(sets: Sequence[frozenset[int]]) -> int:
-    """How many of the sets a greedy pass, smallest first, keeps pairwise
-    disjoint: a lower bound on the size of any set that meets them all."""
-    used: set[int] = set()
-    count = 0
-    for s in sorted(sets, key=len):
-        if used.isdisjoint(s):
+# A nonempty mask's bits from the lowest up, a set bit as "0" and a clear
+# one as "1": masks over one tid order sort by it as their sets sort by
+# `_canonical`. At the lowest bit where two masks differ, the one holding
+# it sorts first, unless the other has no higher bit and so is a prefix.
+_SET_FIRST = str.maketrans("01", "10")
+
+
+def _mask_order(mask: int) -> str:
+    return bin(mask)[:1:-1].translate(_SET_FIRST)
+
+
+class _Family:
+    """A family of edges as bitsets over its tuples. Bit i stands for
+    `tids[i]`, the i-th smallest tid, so a mask's lowest set bit is its
+    smallest tid. `edges` holds each edge as a mask of its tuples, and
+    `occ[i]` the edges holding `tids[i]` as a mask over edge indices.
+    `Hypergraph` makes one per component, once, for every search in it."""
+
+    __slots__ = ("tids", "edges", "occ")
+
+    def __init__(self, tids: list[int], edges: list[int]):
+        occ = [0] * len(tids)
+        for j, edge in enumerate(edges):
+            while edge:
+                low = edge & -edge
+                occ[low.bit_length() - 1] |= 1 << j
+                edge ^= low
+        self.tids, self.edges, self.occ = tids, edges, occ
+
+    @classmethod
+    def of(cls, edges: Iterable[frozenset[int]]) -> "_Family":
+        """The family of tid sets, in their order, over the tids they hold."""
+        edges = list(edges)
+        tids = sorted(set().union(*edges))
+        bit = {t: 1 << i for i, t in enumerate(tids)}
+        return cls(tids, [sum(map(bit.__getitem__, e)) for e in edges])
+
+
+def _disjoint_count(sets: Sequence[int], cap: int | None = None) -> int:
+    """How many of the masks a greedy pass, fewest bits first, keeps
+    pairwise disjoint: a lower bound on the size of any set that meets them
+    all. Past `cap` it stops: a count that would exceed `cap` is cap + 1."""
+    used = count = 0
+    for s in sorted(sets, key=int.bit_count):
+        if not used & s:
+            if count == cap:
+                return count + 1
             used |= s
             count += 1
     return count
 
 
 def _minimal_hitting_sets(
-    edges: Sequence[frozenset[int]],
-    start: frozenset[int] = frozenset(),
+    edges: _Family | Sequence[frozenset[int]],
+    start: Iterable[int] = frozenset(),
     most: int | None = None,
     what: str | None = None,
 ) -> Iterator[frozenset[int]]:
     """The minimal hitting sets of the edge family that contain `start`,
-    each produced once, lazily. Callers pass the minimal edges in canonical
-    order (`_minimal_edges`); any family gives the same sets.
+    each produced once, lazily. Callers pass a component's `_Family`, its
+    minimal edges in canonical order; a sequence of tid sets is made into
+    one, and any family gives the same sets.
 
-    Branches over the free elements of the open edge with the fewest of
-    them, in tid order; elements tried at a node are banned in later
-    branches, so no selection comes twice. Each chosen element keeps its
-    critical edges, those meeting the chosen set in it alone (MMCS,
-    Murakami and Uno 2014). Choosing t drops the edges holding t from the
-    other lists and gives t the open edges holding t. Lists only shrink,
-    and a set is minimal iff none is empty, so a branch is cut once one
-    is: every completed selection is minimal, and a start element in no
-    edge yields nothing.
+    The search runs on bitsets. A node holds the open edges, those the
+    chosen set misses, as masks of their free tuples and as one mask of
+    edge indices, and each chosen tuple's critical edges, those meeting the
+    chosen set in it alone (MMCS, Murakami and Uno 2014), as one mask of
+    edge indices. It branches over the free bits of the open edge with the
+    fewest of them, lowest bit first, so in tid order. A bit tried at a
+    node is banned in its later branches, which clear it from their open
+    edges, so no selection comes twice. Choosing t clears the edges of
+    `occ[t]` from every critical mask and from the open edges, and gives t
+    the open edges in `occ[t]`. Critical masks only shrink, and a set is
+    minimal iff none is empty, so a branch is cut once one is: every
+    completed selection is minimal, and a start tuple in no edge yields
+    nothing.
 
-    With `most`, a branch is cut once its chosen elements plus the number
-    of pairwise disjoint free parts of its open edges exceed `most`. The
-    search recurses once per chosen element; nesting deeper than the
+    With `most`, a branch is cut once its chosen tuples plus the number of
+    pairwise disjoint free parts of its open edges exceed `most`. The
+    search nests one frame per chosen tuple but the one that completes a
+    set, which is yielded where it is chosen; nesting deeper than the
     recursion limit raises BudgetExceededError, which names `what`, by
     default the search over these edges. `Hypergraph` runs it on one
     component at a time, so it nests as deep as the deletions inside one
     component, and names the whole hypergraph in `what`.
     """
-
-    def search(chosen: frozenset[int], critical, banned, open_edges):
-        if not open_edges:
-            yield chosen
+    family = edges if isinstance(edges, _Family) else _Family.of(edges)
+    tids, occ = family.tids, family.occ
+    chosen = list(start)
+    critical: dict[int, int] = {}  # a start tuple's bit: its critical edges
+    for u in chosen:
+        i = bisect_left(tids, u)
+        if i == len(tids) or tids[i] != u:
             return
-        # only the edges that meet `banned` lose elements; the rest are reused
-        free = open_edges
+        critical[1 << i] = 0
+    open_edges, open_mask = family.edges, (1 << len(family.edges)) - 1
+    if critical:
+        starts = sum(critical)
+        open_edges, open_mask = [], 0
+        for j, e in enumerate(family.edges):
+            met = e & starts
+            if not met:
+                open_edges.append(e)
+                open_mask |= 1 << j
+            elif met in critical:
+                critical[met] |= 1 << j
+        if not all(critical.values()):
+            return
+
+    # `banned`: the bits tried at the parent before this branch, which the
+    # open edges still hold; every bit banned above it is cleared already
+    def search(critical, banned, open_edges, open_mask):
+        if not open_mask:
+            yield frozenset(chosen)
+            return
         if banned:
-            free = [e if banned.isdisjoint(e) else e - banned for e in open_edges]
-        if most is not None and len(chosen) + _disjoint_count(free) > most:
-            return
-        blocked = banned
-        for t in sorted(min(free, key=len)):
-            kept = [[e for e in own if t not in e] for own in critical]
+            keep = ~banned
+            open_edges = [e & keep for e in open_edges]
+        if most is not None:
+            room = most - len(chosen)
+            if _disjoint_count(open_edges, room) > room:
+                return
+        branch = min(open_edges, key=int.bit_count)
+        blocked = 0
+        while branch:
+            bit = branch & -branch
+            branch ^= bit
+            i = bit.bit_length() - 1
+            held = occ[i]
+            keep = ~held
+            kept = [c & keep for c in critical]
             if all(kept):
-                kept.append([e for e in open_edges if t in e])
-                rest = [e for e in open_edges if t not in e]
-                yield from search(chosen | {t}, kept, blocked, rest)
-            blocked = blocked | {t}
+                chosen.append(tids[i])
+                if open_mask & keep:
+                    kept.append(open_mask & held)
+                    rest = [e for e in open_edges if not e & bit]
+                    yield from search(kept, blocked, rest, open_mask & keep)
+                else:  # t meets every open edge: the set is complete
+                    yield frozenset(chosen)
+                chosen.pop()
+            blocked |= bit
 
-    critical = [[e for e in edges if e & start == {u}] for u in start]
-    if not all(critical):
-        return
-    open_edges = [e for e in edges if not e & start]
-    what = what or _search_name(edges)
-    yield from _nesting_budget(search(start, critical, frozenset(), open_edges), what)
+    what = what or _search_name(family.edges)
+    nodes = search(list(critical.values()), 0, open_edges, open_mask)
+    yield from _nesting_budget(nodes, what)
 
 
-def _search_name(edges: Sequence[frozenset[int]]) -> str:
+def _search_name(edges: Sequence) -> str:
     return f"repair search over {len(edges)} violation edges"
 
 
@@ -319,22 +403,64 @@ def _components(edges: Sequence[frozenset[int]]) -> list[list[frozenset[int]]]:
     return list(groups.values())
 
 
-def _fewest_in(component: Sequence[frozenset[int]], what: str | None = None) -> int:
+def _minimal_masks(masks: Iterable[int]) -> list[int]:
+    """The inclusion-minimal members of a family of masks over one tid
+    order, once each, in canonical order (`_mask_order`)."""
+    kept: list[int] = []
+    for mask in sorted(masks, key=int.bit_count):
+        outside = ~mask
+        if all(k & outside for k in kept):
+            kept.append(mask)
+    return sorted(kept, key=_mask_order)
+
+
+def _mask_parts(masks: Sequence[int]) -> list[list[int]]:
+    """The masks grouped into connected components, linked by shared bits,
+    as `_components` groups tid sets: in order of their first mask, each
+    keeping the masks' order."""
+    unions: list[int] = []  # the bits of each component found so far
+    for mask in masks:
+        apart = []
+        for u in unions:
+            if u & mask:
+                mask |= u
+            else:
+                apart.append(u)
+        apart.append(mask)
+        unions = apart
+    parts: dict[int, list[int]] = {}
+    for mask in masks:
+        union = next(u for u in unions if u & mask)
+        parts.setdefault(union, []).append(mask)
+    return list(parts.values())
+
+
+def _fewest_in(component: _Family, what: str | None = None) -> int:
     """The size of a smallest hitting set of one component's minimal edges.
-    The bound `most` counts up from the disjoint-edge lower bound until the
+    Pairwise disjoint edges, as one edge is, need one tuple each. Otherwise
+    the bound `most` counts up from the disjoint-edge lower bound until the
     listing search finds a set under it (iterative deepening), so the first
     bound that succeeds is the smallest size."""
-    most = _disjoint_count(component)
+    most = _disjoint_count(component.edges)
+    if most == len(component.edges):
+        return most
     while next(_minimal_hitting_sets(component, most=most, what=what), None) is None:
         most += 1
     return most
 
 
+def _fewest_over(tids: list[int], masks: Iterable[int], what: str | None = None) -> int:
+    """The size of a smallest hitting set of a family of nonempty masks
+    over `tids`: its minimal members split into connected components, and
+    the sizes add up."""
+    parts = _mask_parts(_minimal_masks(masks))
+    return sum(_fewest_in(_Family(tids, part), what) for part in parts)
+
+
 def _fewest(edges: Iterable[frozenset[int]], what: str | None = None) -> int:
-    """The size of a smallest hitting set of a family of nonempty edges:
-    its minimal edges split into connected components, and the sizes add
-    up."""
-    return sum(_fewest_in(c, what) for c in _components(_minimal_edges(edges)))
+    """The size of a smallest hitting set of a family of nonempty tid sets."""
+    family = _Family.of(edges)
+    return _fewest_over(family.tids, family.edges, what)
 
 
 class Hypergraph:
@@ -347,6 +473,7 @@ class Hypergraph:
     S-repair deletion set is one minimal hitting set of each component, and
     its size is the sum of theirs. So each answer lists, or sizes, each
     component on its own, and each component's smallest size is found once.
+    Each component is held as its `_Family` of bitsets, made once.
     """
 
     def __init__(self, inst: Instance, ground: Iterable[ViolationEdge]):
@@ -361,11 +488,10 @@ class Hypergraph:
                 )
             edges.add(candidates)
         self.minimal = _minimal_edges(edges)
-        self._parts = _components(self.minimal)
-        self._part_of = {
-            t: i for i, part in enumerate(self._parts) for e in part for t in e
-        }
-        self._minima: list[int | None] = [None] * len(self._parts)
+        parts = _components(self.minimal)
+        self._part_of = {t: i for i, part in enumerate(parts) for e in part for t in e}
+        self._parts = [_Family.of(part) for part in parts]
+        self._minima: list[int | None] = [None] * len(parts)
         self._what = _search_name(self.minimal)
 
     @classmethod
@@ -378,7 +504,7 @@ class Hypergraph:
             self._minima[i] = _fewest_in(self._parts[i], self._what)
         return self._minima[i]
 
-    def _listed(self, part, **limits) -> list[frozenset[int]]:
+    def _listed(self, part: _Family, **limits) -> list[frozenset[int]]:
         return list(_minimal_hitting_sets(part, what=self._what, **limits))
 
     def transversals(self) -> Iterator[frozenset[int]]:
@@ -407,7 +533,7 @@ class Hypergraph:
         if own is None:
             return []
         parts = [
-            self._listed(part, start=frozenset({t} if i == own else ()))
+            self._listed(part, start=(t,) if i == own else ())
             for i, part in enumerate(self._parts)
         ]
         return sorted(_product(parts, self._what), key=_by_size)
@@ -419,15 +545,18 @@ class Hypergraph:
         It is the smallest size of every other component, plus that of a
         smallest minimal hitting set of t's own component holding t: t, a
         minimal edge e that it meets in t alone, and a smallest hitting set
-        of the parts f - e of the component's edges f without t.
+        of the parts f & ~e of the component's edges f without t.
         """
         own = self._part_of.get(t)
         if own is None:
             return 0
         part = self._parts[own]
-        rest = [f for f in part if t not in f]
+        bit = 1 << bisect_left(part.tids, t)
+        rest = [f for f in part.edges if not f & bit]
         within = min(
-            1 + _fewest((f - e for f in rest), self._what) for e in part if t in e
+            1 + _fewest_over(part.tids, [f & ~e for f in rest], self._what)
+            for e in part.edges
+            if e & bit
         )
         others = (self._minimum(i) for i in range(len(self._parts)) if i != own)
         return within + sum(others)

@@ -549,13 +549,13 @@ def _rule_pieces(doc: dict) -> list[str]:
     """The pieces the JSON writer's rule gives for `doc`: one per field, with
     the punctuation before it; a non-empty list field as its key, one piece
     per item and its closing bracket; then the document's closing bracket
-    and the final newline. `contingency_sets` holds a fact value
-    (`_FactSets`), not a list, so it is one piece."""
+    and the final newline. A list of fact sets (`contingency_sets`) is a
+    list field, with one piece per set."""
     pieces, sep = [], "{\n  "
     for key, value in doc.items():
         head = sep + json.dumps(key) + ": "
         sep = ",\n  "
-        if isinstance(value, list) and value and key != "contingency_sets":
+        if isinstance(value, list) and value:
             pieces.append(head)
             pieces += [
                 ("[" if i == 0 else ",") + "\n    "

@@ -347,6 +347,25 @@ def test_tid_assignment_is_injective(inst):
     assert len(inst.tids) == len(inst)
 
 
+@given(instances(), st.sets(st.integers(1, 50)))
+def test_parts_are_the_instances_built_with_checks(inst, tids):
+    """`without` and `restrict` skip the checks their facts have passed, and
+    give the instance that `Instance` builds from those facts with them,
+    given in any order."""
+    for part, kept in (
+        (inst.without(tids), [f for f in inst if f.tid not in tids]),
+        (inst.restrict(tids), [f for f in inst if f.tid in tids]),
+    ):
+        checked = Instance(reversed(kept))
+        assert part.facts == checked.facts == tuple(kept)
+        assert part._by_pred == checked._by_pred
+        assert list(part.arities.items()) == list(checked.arities.items())
+        assert part.tids == checked.tids
+        assert part.endogenous_tids == checked.endogenous_tids
+        assert [part.fact(f.tid) for f in kept] == kept
+        assert part == checked and hash(part) == hash(checked)
+
+
 def test_instance_constructor_validates():
     with pytest.raises(ValueError, match="bad predicate name"):
         Fact("1P", ("a",), 1)

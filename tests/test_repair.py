@@ -1,11 +1,12 @@
 import copy
 import dataclasses
 import pickle
+import random
 import tracemalloc
 from dataclasses import FrozenInstanceError
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from whydb import (
@@ -28,6 +29,7 @@ from whydb import (
     negate_query,
     parse_constraints,
     parse_hard_constraints,
+    parse_query,
     s_repairs,
     violations,
 )
@@ -37,13 +39,21 @@ from whydb.repair import (
     CONSISTENT_NOT_MAXIMAL,
     INCONSISTENT,
     S_REPAIR,
+    Hypergraph,
+    _components,
     _fewest,
+    _Family,
+    _mask_parts,
+    _minimal_edges,
     _minimal_hitting_sets,
+    _minimal_masks,
     _product,
 )
 
-from conftest import D1_ATOMS, D2_ATOMS, D3_ATOMS, retained_atoms
+from conftest import D1_ATOMS, D2_ATOMS, D3_ATOMS, load_bench, retained_atoms
 from corpus import corpus
+
+chain_causes = load_bench("chain_causes")
 
 
 @pytest.fixture
@@ -103,6 +113,154 @@ def test_minimal_hitting_sets_match_brute_force(family):
     assert set(found) == {h for h in expected if len(h) <= most}
 
     assert _fewest(edges) == min(map(len, expected))
+
+
+def _reference_disjoint_count(sets):
+    used = set()
+    count = 0
+    for s in sorted(sets, key=len):
+        if used.isdisjoint(s):
+            used |= s
+            count += 1
+    return count
+
+
+def _reference_hitting_sets(edges, start=frozenset(), most=None):
+    """The frozenset form of the search, the reference for the bitset
+    kernel: the same branching (the open edge with the fewest free tuples,
+    in tid order, tried tuples banned in later branches), the same
+    critical-edge cut and the same `most` cut, on lists of frozensets."""
+
+    def search(chosen, critical, banned, open_edges):
+        if not open_edges:
+            yield chosen
+            return
+        free = open_edges
+        if banned:
+            free = [e if banned.isdisjoint(e) else e - banned for e in open_edges]
+        if most is not None and len(chosen) + _reference_disjoint_count(free) > most:
+            return
+        blocked = banned
+        for t in sorted(min(free, key=len)):
+            kept = [[e for e in own if t not in e] for own in critical]
+            if all(kept):
+                kept.append([e for e in open_edges if t in e])
+                rest = [e for e in open_edges if t not in e]
+                yield from search(chosen | {t}, kept, blocked, rest)
+            blocked = blocked | {t}
+
+    critical = [[e for e in edges if e & start == {u}] for u in start]
+    if not all(critical):
+        return
+    open_edges = [e for e in edges if not e & start]
+    yield from search(start, critical, frozenset(), open_edges)
+
+
+def _reference_fewest(edges):
+    """The smallest hitting set size by iterative deepening of the
+    reference search, per component of the minimal edges."""
+    total = 0
+    for component in _components(_minimal_edges(edges)):
+        most = _reference_disjoint_count(component)
+        while next(_reference_hitting_sets(component, most=most), None) is None:
+            most += 1
+        total += most
+    return total
+
+
+def _reference_fewest_with(graph, t):
+    """`Hypergraph.fewest_with` by the reference route: frozenset families
+    `f - e`, sized by the reference search."""
+    parts = _components(graph.minimal)
+    own = [part for part in parts if any(t in e for e in part)]
+    if not own:
+        return 0
+    rest = [f for f in own[0] if t not in f]
+    within = min(1 + _reference_fewest(f - e for f in rest) for e in own[0] if t in e)
+    return within + sum(_reference_fewest(part) for part in parts if part is not own[0])
+
+
+@st.composite
+def _searches(draw):
+    """A family over tids 1..n with repeated edges, non-minimal edges (an
+    edge plus other tids) and possibly empty edges; a start that may hold
+    tids 1..n+2, the last two in no edge; and a cut from 0 to n, or none."""
+    n = draw(st.integers(1, 12))
+    tids = st.integers(1, n)
+    edges = draw(st.lists(st.frozensets(tids, max_size=4), max_size=9))
+    if edges:
+        edges += draw(st.lists(st.sampled_from(edges), max_size=2))
+        edges += [
+            draw(st.sampled_from(edges)) | draw(st.frozensets(tids, min_size=1, max_size=2))
+            for _ in range(draw(st.integers(0, 2)))
+        ]
+    start = draw(st.frozensets(st.integers(1, n + 2), max_size=3))
+    return edges, start, draw(st.none() | st.integers(0, n))
+
+
+@settings(max_examples=400, deadline=None)
+@given(_searches())
+@example(([], frozenset(), None))
+@example(([], frozenset(), 0))
+@example(([], frozenset({1}), None))
+@example(([frozenset()], frozenset(), None))
+@example(([frozenset({1, 2}), frozenset()], frozenset({1}), 2))
+@example(([frozenset({1, 2}), frozenset({2, 3})], frozenset({4}), None))
+@example(([frozenset({1, 2}), frozenset({1, 2, 3})], frozenset({1, 3}), 1))
+def test_minimal_hitting_sets_yield_the_reference_sequence(search):
+    """The bitset kernel yields the reference's sets in the reference's
+    order, from a family of tid sets and from its `_Family` alike."""
+    edges, start, most = search
+    expected = list(_reference_hitting_sets(edges, start, most))
+    assert list(_minimal_hitting_sets(edges, start=start, most=most)) == expected
+    family = _Family.of(edges)
+    assert list(_minimal_hitting_sets(family, start=start, most=most)) == expected
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.frozensets(st.integers(1, 20), min_size=1, max_size=4), max_size=16))
+def test_mask_helpers_match_the_tid_set_helpers(edges):
+    """The minimal masks and their components are those of the tid sets, in
+    the same canonical order, so the size search meets the same families."""
+    family = _Family.of(edges)
+
+    def tids_of(mask):
+        return frozenset(t for i, t in enumerate(family.tids) if mask >> i & 1)
+
+    minimal = _minimal_masks(family.edges)
+    assert [tids_of(m) for m in minimal] == _minimal_edges(edges)
+    parts = [[tids_of(m) for m in part] for part in _mask_parts(minimal)]
+    assert parts == _components(_minimal_edges(edges))
+    if edges:
+        assert _fewest(edges) == _reference_fewest(edges)
+
+
+def _chain_graph(n, order):
+    facts = chain_causes.chain_facts(n, random.Random(1))
+    if order == "sorted":
+        facts.sort(key=lambda fact: f"{fact[0]}({','.join(fact[1])})")
+    inst = load_instance("".join(f"{p}({','.join(a)}).\n" for p, a in facts))
+    q = negate_query(parse_query("q :- S(x), R(x,y), S(y)."))
+    return inst, Hypergraph.of(inst, q)
+
+
+@pytest.mark.parametrize("order", ["drawn", "sorted"])
+@pytest.mark.parametrize("n", [60, 120])
+def test_fewest_with_matches_the_reference_route_on_chains(n, order):
+    inst, graph = _chain_graph(n, order)
+    for t in sorted(inst.tids):
+        assert graph.fewest_with(t) == _reference_fewest_with(graph, t), t
+
+
+# one tid of each of the first, a middle and the last conflicts, both sides
+FD_1100_SAMPLE = (1, 2, 7, 1101, 1102, 2199, 2200)
+
+
+def test_fewest_with_matches_the_reference_route_on_fd_1100():
+    inst = load_instance("".join(f"T(k{i},a). T(k{i},b).\n" for i in range(1100)))
+    graph = Hypergraph.of(inst, parse_constraints("fd T: 1 -> 2.", inst))
+    for t in FD_1100_SAMPLE:
+        assert graph.fewest_with(t) == _reference_fewest_with(graph, t) == 1100, t
 
 
 def _pairs(*tids):
