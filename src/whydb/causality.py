@@ -37,7 +37,7 @@ from .repair import (
     Hypergraph,
     ReferentialConstraint,
     _Lazy,
-    _by_size,
+    _sorted_by_size,
     c_repairs,
     s_repairs,
     satisfies_hard,
@@ -94,7 +94,8 @@ def dif_c(inst: Instance, q: UCQ, t: int) -> list[DiffSet]:
     tids)."""
     inst.fact(t)
     found = Hypergraph.of(inst, negate_query(q)).minimum_hitting_sets()
-    return [DiffSet(d, "c_repair") for d in sorted(found, key=_by_size) if t in d]
+    holding = _sorted_by_size(d for d in found if t in d)
+    return [DiffSet(d, "c_repair") for d in holding]
 
 
 def _reports(

@@ -8,21 +8,24 @@ so a fact may span lines and a line may hold several facts.
 Either every fact carries an explicit tid or none does; in the latter case
 tids are assigned 1, 2, 3, ... in file order.
 
-`load_instance` reads all statements in one guarded pattern pass: each match
-starts where the last one ended, and the first statement the pattern rejects
-goes to the token reader `_read_fact` for its error. The pattern has checked
-the facts it builds, so they skip `Fact.__post_init__`; a `Fact(...)` built
-in Python is still checked.
+`load_instance` reads all statements in one `findall` pass of one pattern
+with three branches: a statement with no layout inside it, any other fact
+statement, and the rest of the text from the first statement both reject,
+which goes to the token reader `_read_fact` for its error. Each match starts
+where the last one ended. The pattern has checked the facts it builds, so
+they skip `Fact.__post_init__`; a `Fact(...)` built in Python is still
+checked. Statement offsets are found only for an error, by scanning again.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from itertools import islice
 from typing import Iterable, Iterator, Mapping
 
 from ._scan import IDENTIFIER_RE, INT_RE, LAYOUT_RE, Scanner
-from .errors import UnknownTidError
+from .errors import ParseError, UnknownTidError
 
 # Constants are opaque symbols; they may not contain separators the fact
 # grammar needs (commas, parentheses, whitespace) nor the comment character.
@@ -42,12 +45,21 @@ _FACT_RE = re.compile(
     rf"(@exo{_L})?({IDENTIFIER_RE.pattern}){_L}(?:\[{_L}({INT_RE.pattern}){_L}\]{_L})?"
     rf"\({_L}({_C}{_L}(?:,{_L}{_C}{_L})*)\){_L}\.{_L}"
 )
-# `_FACT_RE` or nothing: the empty branch matches wherever `_FACT_RE` fails,
-# so each match of `finditer` starts where the last one ended, `_FACT_RE` is
-# tried once per statement, and an empty match marks the end of the text or
-# the first statement `_FACT_RE` rejects. A plain `_FACT_RE.finditer` would
-# retry at every later offset of malformed text, in quadratic time.
-_STATEMENTS_RE = re.compile(_FACT_RE.pattern + "|")
+# A fact statement with no layout inside it, and the layout after it. It
+# accepts a subset of what `_FACT_RE` accepts, reads its fields alike (its
+# argument group is constants and commas alone) and ends at the same offset,
+# so a statement may be read by either.
+_COMPACT_RE = re.compile(
+    rf"(@exo )?({IDENTIFIER_RE.pattern})(?:\[({INT_RE.pattern})\])?"
+    rf"\(({_C}(?:,{_C})*)\)\.{_L}"
+)
+# Every statement in file order, one row of `findall` each: `_COMPACT_RE`,
+# then `_FACT_RE`, then the rest of the text from the first statement both
+# reject. One of the three matches wherever a statement starts, so each
+# match starts where the last one ended and the pass is linear; the rest
+# branch ends it at the first rejected statement, where a plain `_FACT_RE`
+# search would retry at every later offset of malformed text.
+_STATEMENTS_RE = re.compile(rf"{_COMPACT_RE.pattern}|{_FACT_RE.pattern}|([\s\S]+)")
 _COMMENT_RE = re.compile(r"%[^\n]*")
 # A blank; an argument list without one is its constants and the commas
 # between them (a comment inside the list ends in a newline).
@@ -217,19 +229,11 @@ def tuple_by_tid(inst: Instance, tid: int) -> Fact:
     return inst.fact(tid)
 
 
-def _fact_of(m: re.Match) -> _Statement:
-    """(exogenous, predicate, tid, args) of a `_FACT_RE` match."""
-    exogenous, predicate, tid, args = m.groups()
+def _constants(args: str) -> list[str]:
+    """The constants of a `_FACT_RE` argument group."""
     if _BLANK_RE.search(args) is None:
-        args = args.split(",")
-    else:
-        args = CONSTANT_RE.findall(_COMMENT_RE.sub("", args))
-    return (
-        exogenous is not None,
-        predicate,
-        None if tid is None else int(tid),
-        tuple(args),
-    )
+        return args.split(",")
+    return CONSTANT_RE.findall(_COMMENT_RE.sub("", args))
 
 
 def _read_fact(sc: Scanner) -> _Statement:
@@ -253,6 +257,14 @@ def _read_fact(sc: Scanner) -> _Statement:
     return (exogenous, predicate, tid, tuple(args))
 
 
+def _error_at(sc: Scanner, index: int, message: str) -> ParseError:
+    """A ParseError placed at the start of statement `index` (from 0) from
+    the cursor on. It scans the statements again: the loader keeps no
+    offsets, as a file without errors needs none."""
+    statement = next(islice(_STATEMENTS_RE.finditer(sc.text, sc.pos), index, None))
+    return sc.error(message, at=statement.start())
+
+
 def load_instance(text: str) -> Instance:
     """Parse a fact file into an Instance.
 
@@ -261,44 +273,49 @@ def load_instance(text: str) -> Instance:
     mix explicit-tid facts with implicit ones.
     """
     sc = Scanner(text)
-    statements: list[_Statement] = []
-    starts: list[int] = []
-    for m in _STATEMENTS_RE.finditer(text, sc.pos):
-        start, end = m.span()
-        if start == end:
-            if end == len(text):
-                break
-            sc.pos = start
-            _read_fact(sc)
-            raise AssertionError(f"_FACT_RE rejects the fact at offset {start}")
-        statement = _fact_of(m)
-        if statement[2] is not None and statement[2] < 1:
-            raise sc.error("tids must be positive", at=start)
-        statements.append(statement)
-        starts.append(start)
-
-    implicit = [i for i, statement in enumerate(statements) if statement[2] is None]
-    if implicit and len(implicit) != len(statements):
-        raise sc.error(
-            "mixed tid modes: every fact must carry an explicit tid or none may",
-            at=starts[implicit[0]],
-        )
-    # `_FACT_RE` has checked every field, so the facts skip `__post_init__`.
-    # They are built after the pass, not between its matches: that left the
-    # peak RSS of a benchmark worker on 1600-fact files 0.6 MB lower.
+    # The patterns have checked every field, so the facts skip
+    # `__post_init__`. Each field is set on its own, so that the facts share
+    # their `__dict__` keys as those built by `Fact(...)` do.
     new, set_field = object.__new__, object.__setattr__
     facts: list[Fact] = []
-    for number, (exogenous, predicate, tid, args) in enumerate(statements, 1):
+    append = facts.append
+    implicit = 0
+    for number, (
+        exogenous, predicate, tid, args, full_exo, full_pred, full_tid, full_args, rest
+    ) in enumerate(_STATEMENTS_RE.findall(text, sc.pos), 1):
+        if predicate:
+            args = args.split(",")
+        elif full_pred:
+            exogenous, predicate, tid = full_exo, full_pred, full_tid
+            args = _constants(full_args)
+        else:
+            start = sc.pos = len(text) - len(rest)
+            _read_fact(sc)
+            raise AssertionError(f"_FACT_RE rejects the fact at offset {start}")
+        if tid:
+            tid = int(tid)
+            if tid < 1:
+                raise _error_at(sc, number - 1, "tids must be positive")
+        else:
+            tid = number
+            implicit += 1
         fact = new(Fact)
         set_field(fact, "predicate", predicate)
-        set_field(fact, "args", args)
-        set_field(fact, "tid", number if tid is None else tid)
-        set_field(fact, "exogenous", exogenous)
-        facts.append(fact)
+        set_field(fact, "args", tuple(args))
+        set_field(fact, "tid", tid)
+        set_field(fact, "exogenous", exogenous != "")
+        append(fact)
+
+    if implicit and implicit != len(facts):
+        rows = _STATEMENTS_RE.findall(text, sc.pos)
+        # a row's tid is its item 2 (compact) or 6 (laid out), "" if implicit
+        first = next(i for i, row in enumerate(rows) if not (row[2] or row[6]))
+        mixed = "mixed tid modes: every fact must carry an explicit tid or none may"
+        raise _error_at(sc, first, mixed)
     try:
         return Instance(facts)
     except _FactError as exc:
-        raise sc.error(str(exc), at=starts[exc.index]) from None
+        raise _error_at(sc, exc.index, str(exc)) from None
 
 
 def dump_instance(inst: Instance) -> str:

@@ -187,9 +187,31 @@ def _canonical(edge: frozenset[int]) -> tuple[int, ...]:
     return tuple(sorted(edge))
 
 
-def _by_size(deleted: frozenset[int]) -> tuple[int, tuple[int, ...]]:
-    """The order of deletion sets in every answer: (size, sorted tids)."""
-    return (len(deleted), _canonical(deleted))
+def _sorted_by_size(sets: Iterable[frozenset[int]]) -> list[frozenset[int]]:
+    """Deletion sets in the order of every answer: by size, then by sorted
+    tids. The key is one int per set. A tid every set holds weighs 0, as it
+    cannot change the order; the i-th of the n other tids, counted from 0
+    in tid order, weighs 2**n - 2**(n-1-i). A set of k of those weighs
+    k * 2**n less the sum of its tids' 2**(n-1-i), which is below 2**n, so
+    sets sort by size first. Of two sets of one size, that sum is larger for
+    the one holding the lowest tid the two do not share.
+
+    The weights and keys take about n * (n + len(sets)) bits. Where that is
+    more than a 64-bit word per tid the sets hold, counted with repeats,
+    the key is the (size, sorted tids) tuple, so memory stays linear in the
+    sets either way."""
+    sets = list(sets)
+    if len(sets) < 2:
+        return sets
+    shared = sets[0].intersection(*sets[1:])
+    tids = sorted(set().union(*sets) - shared)
+    n = len(tids)
+    if n * (n + len(sets)) > 64 * sum(map(len, sets)):
+        return sorted(sets, key=lambda d: (len(d), _canonical(d)))
+    weight = dict.fromkeys(shared, 0)
+    weight.update({t: (1 << n) - (1 << (n - 1 - i)) for i, t in enumerate(tids)})
+    key = weight.__getitem__
+    return sorted(sets, key=lambda d: sum(map(key, d)))
 
 
 # A nonempty mask's bits from the lowest up, a set bit as "0" and a clear
@@ -536,7 +558,7 @@ class Hypergraph:
             self._listed(part, start=(t,) if i == own else ())
             for i, part in enumerate(self._parts)
         ]
-        return sorted(_product(parts, self._what), key=_by_size)
+        return _sorted_by_size(_product(parts, self._what))
 
     def fewest_with(self, t: int) -> int:
         """The size of a smallest S-repair deletion set holding t; 0 if none
@@ -567,7 +589,7 @@ def _repairs(inst: Instance, deleted: Iterable[frozenset[int]]) -> list[Repair]:
     holds the instance's one tids set and fills in its retained set when read."""
     tids = inst.tids
     out = []
-    for d in sorted(deleted, key=_by_size):
+    for d in _sorted_by_size(deleted):
         r = object.__new__(Repair)
         object.__setattr__(r, "deleted", d)
         object.__setattr__(r, "_tids", tids)

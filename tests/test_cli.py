@@ -1061,6 +1061,23 @@ def test_listing_too_large_for_memory_is_one_error_line(tmp_path):
     assert "500 violation edges" in err and "Traceback" not in err
 
 
+def test_one_repair_of_every_fact_lists_in_linear_memory(tmp_path):
+    # 50 000 one-fact witnesses: one C-repair deletes them all. Sort keys
+    # of one int per set, over every tid the listing holds, would take
+    # 50 000 ints of 50 000 bits, some 300 MB; the child, capped at a
+    # 256 MB address space, lists the repair in about 90 MB
+    db = tmp_path / "witnesses.facts"
+    db.write_text("".join(f"P(c{i}).\n" for i in range(50_000)))
+    dc = tmp_path / "p.dc"
+    dc.write_text(":- P(x).")
+    argv = ["repairs", "--kind", "c", "--db", str(db), "--constraints", str(dc)]
+    with _whydb_process(argv, preexec_fn=_address_space(256 * 2**20)) as proc:
+        out, err = proc.communicate(timeout=60)
+    assert proc.returncode == 0 and err == ""
+    facts = ", ".join(f"P(c{i})#{i + 1}" for i in range(50_000))
+    assert out == f"c-repair 1: deleted {{{facts}}} retained {{}}\n"
+
+
 def test_exit_code_open_query_precondition(files, capsys):
     code, _, err = run(
         capsys, ["causes", "--db", files["dstar.facts"], "-q", "q(x) :- S(x)."]

@@ -16,7 +16,14 @@ from whydb import (
     tuple_by_tid,
 )
 from whydb._scan import Scanner
-from whydb.core import _FACT_RE, _FactError, _fact_of, _read_fact
+from whydb.core import (
+    _COMPACT_RE,
+    _FACT_RE,
+    _STATEMENTS_RE,
+    _constants,
+    _FactError,
+    _read_fact,
+)
 
 from conftest import D2STAR_TEXT, DSTAR_TEXT
 
@@ -139,10 +146,11 @@ _TIDS = ["1", "7", "0", "007", "00", "٣", "１２"]
 
 
 @st.composite
-def fact_statements(draw):
+def fact_statements(draw, layout=st.sampled_from(_LAYOUTS)):
     """A fact statement, valid or nearly so, between layout, and some text
     after it."""
-    tokens = ["@exo"] if draw(st.booleans()) else []
+    # "@exo " as one token, so that a compact statement may start with it
+    tokens = [draw(st.sampled_from(["@exo", "@exo "]))] if draw(st.booleans()) else []
     tokens.append(draw(st.sampled_from(["P", "R2", "a_b", "1P", "_x"])))
     if draw(st.booleans()):
         tokens += ["[", draw(st.sampled_from(_TIDS)), "]"]
@@ -156,10 +164,26 @@ def fact_statements(draw):
         del tokens[at]
     elif mutation == "repeat":
         tokens.insert(at, tokens[at])
-    layouts = draw(st.lists(st.sampled_from(_LAYOUTS), min_size=len(tokens) + 1,
-                            max_size=len(tokens) + 1))
+    layouts = draw(st.lists(layout, min_size=len(tokens) + 1, max_size=len(tokens) + 1))
     rest = draw(st.sampled_from(["", "Q(b).", "x", ".", "%end"]))
     return "".join(lay + tok for lay, tok in zip(layouts, tokens)) + layouts[-1] + rest
+
+
+def _statement_of(row):
+    """The statement `load_instance` reads from a row of `_STATEMENTS_RE`,
+    as `_read_fact` gives it; None for the rest of the text, and for a tid
+    below 1, which `load_instance` rejects: "tids must be positive"."""
+    exogenous, predicate, tid, args, *full, rest = row
+    if rest:
+        return None
+    if predicate:
+        args = args.split(",")
+    else:
+        exogenous, predicate, tid, args = full
+        args = _constants(args)
+    if tid and int(tid) < 1:
+        return None
+    return (exogenous != "", predicate, int(tid) if tid else None, tuple(args))
 
 
 @settings(deadline=None, max_examples=500)
@@ -175,14 +199,16 @@ def fact_statements(draw):
 @example("P[0(a).")
 @example("P(a %,b).\n")
 def test_fact_pattern_agrees_with_token_reader(text):
-    # `load_instance` reads every statement with `_FACT_RE` and leaves only
-    # the ones it rejects to `_read_fact`: the two must accept the same
-    # statements, read them alike and end at the same offset
+    # `load_instance` reads every statement from a row of `_STATEMENTS_RE`
+    # and leaves only the rest of the text to `_read_fact`: the two must
+    # accept the same statements, read them alike and end at the same offset
     sc = Scanner(text)
-    m = _FACT_RE.match(text, sc.pos)
-    by_pattern = None if m is None else _fact_of(m)
-    if by_pattern is not None and by_pattern[2] is not None and by_pattern[2] < 1:
-        by_pattern = None  # load_instance rejects it: "tids must be positive"
+    m = _STATEMENTS_RE.match(text, sc.pos)
+    by_pattern = None
+    if m is not None:
+        row = m.groups("")
+        assert _STATEMENTS_RE.findall(text, sc.pos)[0] == row
+        by_pattern = _statement_of(row)
     try:
         by_tokens = _read_fact(sc)
     except ParseError:
@@ -190,6 +216,28 @@ def test_fact_pattern_agrees_with_token_reader(text):
     assert by_pattern == by_tokens
     if by_tokens is not None:
         assert m.end() == sc.pos
+
+
+@settings(deadline=None, max_examples=500)
+@given(fact_statements(layout=st.sampled_from([""] * 9 + [" ", "%c\n"])))
+@example("@exo P(a).")
+@example("@exo  P(a).")
+@example("@exoP(a).")
+@example("P[٣](a).")
+@example("P[0](a).")
+@example('P(a.b,"q",é). Q(b).')
+def test_compact_branch_reads_as_the_fact_pattern(text):
+    # every statement `_COMPACT_RE` matches, `_FACT_RE` matches too, with
+    # the same fields and the same end
+    compact = _COMPACT_RE.match(text)
+    if compact is None:
+        return
+    full = _FACT_RE.match(text)
+    assert full is not None and full.end() == compact.end()
+    exogenous, predicate, tid, args = compact.groups("")
+    assert (exogenous != "", predicate, tid, args.split(",")) == (
+        full[1] is not None, full[2], full[3] or "", _constants(full[4])
+    )
 
 
 def _load_by_tokens(text):
@@ -235,6 +283,10 @@ _CLASHING = ["P(a).", "@exo P(a).", "P(a,b).", "P[1](a).", "Q[1](b).", "Q[2](a,b
 @example(["P[1](a).", "Q(b).", "R[0](c)."], " ")
 @example(["P(a).", "Q[1](b).", "R(c d)."], " ")
 @example(["@exo P[٣](a).", "Q[１２](b).", "R[007](c)."], "\n")
+@example(["P[0](a).", "Q(b e)."], " ")
+@example(["P(a).", "Q(b).", "R(c).", "S(d e)."], "\n")
+@example(["P [1] (a).", "Q(b).", "R[2](c)."], "\n")
+@example(["P[1](a).", "Q ( b ) .", "R(c)."], "% c\n")
 def test_load_instance_agrees_with_token_reader(statements, separator):
     # the one-pass loader and the token reader give the same instance, or
     # the same error at the same place

@@ -5,6 +5,8 @@ sizes the enumeration route cannot reach, checked against the benchmark's
 own hitting-set arithmetic."""
 
 import random
+import sys
+import tracemalloc
 from fractions import Fraction
 from math import prod
 
@@ -36,17 +38,65 @@ from whydb.repair import (
     C_REPAIR,
     S_REPAIR,
     Hypergraph,
-    _by_size,
     _components,
     _fewest,
     _minimal_edges,
     _minimal_hitting_sets,
+    _sorted_by_size,
 )
 
 from conftest import load_bench
 
 hypergraph = load_bench("hypergraph")
 chain_causes = load_bench("chain_causes")
+
+
+def _by_size(deleted):
+    """The order of deletion sets in every answer, as a sort key: (size,
+    sorted tids)."""
+    return (len(deleted), tuple(sorted(deleted)))
+
+
+_GAPPED_TIDS = st.one_of(st.sampled_from([1, 2, 3, 5, 8, 13, 40, 41, 1000]), st.integers(1, 2000))
+# A few sets of one size, 20 to 40, over tids 1..5000: they share few tids,
+# so they hold many apart for their number and sort by the tuple keys
+_WIDE_FAMILIES = st.integers(20, 40).flatmap(
+    lambda k: st.lists(
+        st.frozensets(st.integers(1, 5000), min_size=k, max_size=k), min_size=2, max_size=6
+    )
+)
+
+
+@settings(max_examples=300)
+@given(
+    st.one_of(st.lists(st.frozensets(_GAPPED_TIDS, max_size=8), max_size=30), _WIDE_FAMILIES),
+    st.frozensets(_GAPPED_TIDS, max_size=4),
+)
+def test_int_key_order_is_the_size_then_tids_order(family, core):
+    # tids with gaps, the empty set and singletons, with and without a core
+    # of tids every set holds; equal sets may repeat, and their order among
+    # themselves does not show. Families over few tids take the int keys,
+    # the wide ones the tuple keys
+    for sets in (family, [d | core for d in family]):
+        assert _sorted_by_size(sets) == sorted(sets, key=_by_size)
+
+
+def test_sorting_big_listings_takes_memory_linear_in_them():
+    # one set of 50 000 tids, as the one C-repair of as many one-fact
+    # witnesses; it beside a set of one other tid, as the S-repairs of a
+    # fact in conflict with each of them; and it beside itself and one tid
+    # more. Int keys over all 50 000 tids would take some 300 MB, where
+    # these sets take 2 MB each
+    big = frozenset(range(1, 50_001))
+    for family in ([big], [big, frozenset([50_001])], [big | {50_001}, big]):
+        tracemalloc.start()
+        try:
+            listed = _sorted_by_size(family)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert listed == sorted(family, key=_by_size)
+        assert peak < 4 * sum(map(sys.getsizeof, family))
 
 
 @st.composite
