@@ -216,9 +216,9 @@ def _prefix(
     lines = [f"% whydb {__version__} {kind} program", f"% dialect: {dialect.value}"]
     if len(inst):
         lines.append("% facts")
-        for fact in inst.facts:
-            args = ",".join(map(_emit_constant, fact.args))
-            lines.append(f"{base[fact.predicate]}({fact.tid},{args}).")
+        for predicate, args, tid, _ in inst.rows:
+            constants = ",".join(map(_emit_constant, args))
+            lines.append(f"{base[predicate]}({tid},{constants}).")
     stays_seen: set[str] = set()
     for dc, label in zip(cs.dcs, cs.labels):
         lines.extend(_dc_rule_lines(dc, label, dialect, base, nick, stays_seen))

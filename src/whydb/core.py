@@ -12,9 +12,11 @@ tids are assigned 1, 2, 3, ... in file order.
 with three branches: a statement with no layout inside it, any other fact
 statement, and the rest of the text from the first statement both reject,
 which goes to the token reader `_read_fact` for its error. Each match starts
-where the last one ended. The pattern has checked the facts it builds, so
-they skip `Fact.__post_init__`; a `Fact(...)` built in Python is still
-checked. Statement offsets are found only for an error, by scanning again.
+where the last one ended. The loader keeps each fact as its row, the tuple
+of its fields, and an `Instance` builds a fact's `Fact` only when a caller
+first asks for it. The pattern has checked the rows, so those Facts skip
+`Fact.__post_init__`; a `Fact(...)` built in Python is still checked.
+Statement offsets are found only for an error, by scanning again.
 """
 
 from __future__ import annotations
@@ -40,7 +42,7 @@ _C = CONSTANT_RE.pattern
 # at the same offset, and tids below 1, which `load_instance` then rejects;
 # `_read_fact` still reads the statements it rejects, for their errors. A
 # match holds a valid predicate, at least one constant and a tid of digits,
-# so `load_instance` builds its facts without `Fact.__post_init__`.
+# so the Facts of its rows are built without `Fact.__post_init__`.
 _FACT_RE = re.compile(
     rf"(@exo{_L})?({IDENTIFIER_RE.pattern}){_L}(?:\[{_L}({INT_RE.pattern}){_L}\]{_L})?"
     rf"\({_L}({_C}{_L}(?:,{_L}{_C}{_L})*)\){_L}\.{_L}"
@@ -112,55 +114,111 @@ class _FactError(ValueError):
         self.index = index
 
 
+# A fact's fields as a plain tuple in `Fact` field order: (predicate, args,
+# tid, exogenous). A row equals, and hashes as, the tuple of its Fact's fields,
+# and the hash of a frozen dataclass is the hash of that tuple.
+Row = tuple[str, tuple[str, ...], int, bool]
+
+
+def _new_fact(row: Row) -> Fact:
+    """The Fact of a checked row, built without `__post_init__`. Each field
+    is set on its own, so that the facts share their `__dict__` keys as those
+    built by `Fact(...)` do."""
+    fact = object.__new__(Fact)
+    predicate, args, tid, exogenous = row
+    object.__setattr__(fact, "predicate", predicate)
+    object.__setattr__(fact, "args", args)
+    object.__setattr__(fact, "tid", tid)
+    object.__setattr__(fact, "exogenous", exogenous)
+    return fact
+
+
+def _checked(rows: Iterable[Row]) -> dict[int, Row]:
+    """The rows by tid, checked in the order given; raises _FactError at the
+    first row that breaks a rule of `Instance`."""
+    by_tid: dict[int, Row] = {}
+    arities: dict[str, int] = {}
+    keys: set[tuple[str, tuple[str, ...]]] = set()
+    for index, row in enumerate(rows):
+        predicate, args, tid, _ = row
+        key, arity = (predicate, args), len(args)
+        if tid in by_tid:
+            raise _FactError(f"duplicate tid {tid}", index)
+        if key in keys:
+            raise _FactError(f"duplicate fact {predicate}({','.join(args)})", index)
+        known = arities.setdefault(predicate, arity)
+        if known != arity:
+            raise _FactError(f"arity clash for {predicate}: {known} vs {arity}", index)
+        by_tid[tid] = row
+        keys.add(key)
+    return by_tid
+
+
 class Instance:
     """An immutable set of facts with pairwise-distinct tids.
 
     Set semantics hold on (predicate, args); every predicate has one arity.
     The facts are checked in the order given, and the first fact that breaks
     a rule is reported.
+
+    An instance holds each fact as its row, and builds the fact's `Fact`
+    the first time `fact`, `facts`, `of_predicate` or iteration asks for it,
+    once: every later request gets the same object. The parts `restrict` and
+    `without` return share their parent's rows and its built Facts. Readers
+    that visit every fact, such as the join, read `rows` and `rows_of`.
     """
 
-    __slots__ = ("_facts", "_by_tid", "_by_pred", "_arities", "_tids", "_endo")
+    __slots__ = (
+        "_rows", "_by_tid", "_by_pred", "_arities", "_tids", "_endo",
+        "_built", "_facts", "_of_pred",
+    )
 
     def __init__(self, facts: Iterable[Fact] = ()):
-        by_tid: dict[int, Fact] = {}
-        arities: dict[str, int] = {}
-        keys: set[tuple[str, tuple[str, ...]]] = set()
-        for index, fact in enumerate(facts):
-            tid, predicate, args = fact.tid, fact.predicate, fact.args
-            key, arity = (predicate, args), len(args)
-            if tid in by_tid:
-                raise _FactError(f"duplicate tid {tid}", index)
-            if key in keys:
-                raise _FactError(f"duplicate fact {fact.atom_text()}", index)
-            known = arities.setdefault(predicate, arity)
-            if known != arity:
-                raise _FactError(
-                    f"arity clash for {predicate}: {known} vs {arity}", index
-                )
-            by_tid[tid] = fact
-            keys.add(key)
-        self._build(by_tid)
+        facts = list(facts)
+        by_tid = _checked([(f.predicate, f.args, f.tid, f.exogenous) for f in facts])
+        self._build(by_tid, {f.tid: f for f in facts})
 
-    def _build(self, by_tid: dict[int, Fact]) -> "Instance":
-        """Fill the slots from facts that are already checked, by tid: the
-        checks of `__init__`, or those of the instance a part is taken from.
-        Returns the instance."""
-        ordered = tuple([by_tid[tid] for tid in sorted(by_tid)])
-        by_pred: dict[str, list[Fact]] = {}
-        for fact in ordered:
-            by_pred.setdefault(fact.predicate, []).append(fact)
-        self._facts = ordered
+    def _build(self, by_tid: dict[int, Row], built: dict[int, Fact]) -> "Instance":
+        """Fill the slots from rows that are already checked, by tid: the
+        checks of `_checked`, or those of the instance a part is taken from.
+        `built` is the store of the Facts built so far, by tid, shared with
+        that instance. Returns the instance."""
+        rows = tuple([by_tid[tid] for tid in sorted(by_tid)])
+        by_pred: dict[str, list[Row]] = {}
+        for row in rows:
+            by_pred.setdefault(row[0], []).append(row)
+        self._rows = rows
         self._by_tid = by_tid
-        self._by_pred = {p: tuple(fs) for p, fs in by_pred.items()}
+        self._by_pred = {p: tuple(rs) for p, rs in by_pred.items()}
         # in tid order, too
-        self._arities = {p: len(fs[0].args) for p, fs in by_pred.items()}
+        self._arities = {p: len(rs[0][1]) for p, rs in by_pred.items()}
         self._tids = frozenset(by_tid)
-        self._endo = frozenset(t for t, f in by_tid.items() if not f.exogenous)
+        self._endo = frozenset([t for t, row in by_tid.items() if not row[3]])
+        self._built = built
+        self._facts: tuple[Fact, ...] | None = None
+        self._of_pred: dict[str, tuple[Fact, ...]] = {}
         return self
+
+    def _fact_of(self, row: Row) -> Fact:
+        """The Fact of `row`, built on its first request."""
+        fact = self._built.get(row[2])
+        if fact is None:
+            fact = self._built[row[2]] = _new_fact(row)
+        return fact
+
+    @property
+    def rows(self) -> tuple[Row, ...]:
+        """Every fact's row, in tid order."""
+        return self._rows
+
+    def rows_of(self, predicate: str) -> tuple[Row, ...]:
+        """The rows of the facts of `predicate`, in tid order."""
+        return self._by_pred.get(predicate, ())
 
     @property
     def facts(self) -> tuple[Fact, ...]:
+        if self._facts is None:
+            self._facts = tuple(map(self._fact_of, self._rows))
         return self._facts
 
     @property
@@ -179,49 +237,54 @@ class Instance:
         return self._arities.get(predicate)
 
     def of_predicate(self, predicate: str) -> tuple[Fact, ...]:
-        return self._by_pred.get(predicate, ())
+        facts = self._of_pred.get(predicate)
+        if facts is None:
+            rows = self._by_pred.get(predicate, ())
+            facts = self._of_pred[predicate] = tuple(map(self._fact_of, rows))
+        return facts
 
     def fact(self, tid: int) -> Fact:
         try:
-            return self._by_tid[tid]
+            row = self._by_tid[tid]
         except KeyError:
             raise UnknownTidError(f"no tuple with tid {tid}") from None
+        return self._fact_of(row)
 
     def restrict(self, tids: Iterable[int]) -> "Instance":
         keep = frozenset(tids)
-        part = {f.tid: f for f in self._facts if f.tid in keep}
-        return object.__new__(Instance)._build(part)
+        part = {t: row for t, row in self._by_tid.items() if t in keep}
+        return object.__new__(Instance)._build(part, self._built)
 
     def without(self, tids: Iterable[int]) -> "Instance":
         drop = frozenset(tids)
-        part = {f.tid: f for f in self._facts if f.tid not in drop}
-        return object.__new__(Instance)._build(part)
+        part = {t: row for t, row in self._by_tid.items() if t not in drop}
+        return object.__new__(Instance)._build(part, self._built)
 
     def to_text(self) -> str:
         """Serialize back to fact-file form (explicit tids, so reloading
         reproduces the instance exactly)."""
         lines = []
-        for f in self._facts:
-            prefix = "@exo " if f.exogenous else ""
-            lines.append(f"{prefix}{f.predicate}[{f.tid}]({','.join(f.args)}).")
+        for predicate, args, tid, exogenous in self._rows:
+            prefix = "@exo " if exogenous else ""
+            lines.append(f"{prefix}{predicate}[{tid}]({','.join(args)}).")
         return "\n".join(lines) + ("\n" if lines else "")
 
     def __len__(self) -> int:
-        return len(self._facts)
+        return len(self._rows)
 
     def __iter__(self) -> Iterator[Fact]:
-        return iter(self._facts)
+        return iter(self.facts)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Instance):
             return NotImplemented
-        return self._facts == other._facts
+        return self._rows == other._rows
 
     def __hash__(self) -> int:
-        return hash(self._facts)
+        return hash(self._rows)
 
     def __repr__(self) -> str:
-        return f"Instance({len(self._facts)} facts)"
+        return f"Instance({len(self._rows)} facts)"
 
 
 def tuple_by_tid(inst: Instance, tid: int) -> Fact:
@@ -273,12 +336,8 @@ def load_instance(text: str) -> Instance:
     mix explicit-tid facts with implicit ones.
     """
     sc = Scanner(text)
-    # The patterns have checked every field, so the facts skip
-    # `__post_init__`. Each field is set on its own, so that the facts share
-    # their `__dict__` keys as those built by `Fact(...)` do.
-    new, set_field = object.__new__, object.__setattr__
-    facts: list[Fact] = []
-    append = facts.append
+    rows: list[Row] = []
+    append = rows.append
     implicit = 0
     for number, (
         exogenous, predicate, tid, args, full_exo, full_pred, full_tid, full_args, rest
@@ -299,23 +358,19 @@ def load_instance(text: str) -> Instance:
         else:
             tid = number
             implicit += 1
-        fact = new(Fact)
-        set_field(fact, "predicate", predicate)
-        set_field(fact, "args", tuple(args))
-        set_field(fact, "tid", tid)
-        set_field(fact, "exogenous", exogenous != "")
-        append(fact)
+        append((predicate, tuple(args), tid, exogenous != ""))
 
-    if implicit and implicit != len(facts):
-        rows = _STATEMENTS_RE.findall(text, sc.pos)
-        # a row's tid is its item 2 (compact) or 6 (laid out), "" if implicit
-        first = next(i for i, row in enumerate(rows) if not (row[2] or row[6]))
+    if implicit and implicit != len(rows):
+        statements = _STATEMENTS_RE.findall(text, sc.pos)
+        # a statement's tid is item 2 (compact) or 6 (laid out), "" if implicit
+        first = next(i for i, st in enumerate(statements) if not (st[2] or st[6]))
         mixed = "mixed tid modes: every fact must carry an explicit tid or none may"
         raise _error_at(sc, first, mixed)
     try:
-        return Instance(facts)
+        by_tid = _checked(rows)
     except _FactError as exc:
         raise _error_at(sc, exc.index, str(exc)) from None
+    return object.__new__(Instance)._build(by_tid, {})
 
 
 def dump_instance(inst: Instance) -> str:

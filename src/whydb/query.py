@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from typing import Iterator, Mapping, Union
 
 from ._scan import IDENTIFIER_RE, Scanner
-from .core import CONSTANT_STOP, Fact, Instance, is_constant
+from .core import CONSTANT_STOP, Instance, Row, is_constant
 from .errors import (
     ArityMismatchError,
     OpenQueryError,
@@ -427,10 +427,12 @@ def _inequalities_ok(cq: CQ, binding: dict[str, str]) -> bool:
     return True
 
 
-def _match(atom: Atom, fact: Fact, binding: dict[str, str]) -> dict[str, str] | None:
+def _match(
+    atom: Atom, args: tuple[str, ...], binding: dict[str, str]
+) -> dict[str, str] | None:
     result = binding
     copied = False
-    for term, value in zip(atom.terms, fact.args):
+    for term, value in zip(atom.terms, args):
         if isinstance(term, Var):
             bound = result.get(term.name)
             if bound is None:
@@ -474,44 +476,45 @@ def _plan(cq: CQ) -> list[tuple[Atom, int | None]]:
 
 def _solutions(
     inst: Instance, cq: CQ
-) -> Iterator[tuple[dict[str, str], tuple[Fact, ...]]]:
+) -> Iterator[tuple[dict[str, str], tuple[Row, ...]]]:
     """All homomorphisms of cq into inst that satisfy the inequalities.
 
     A backtracking join over the atoms in `_plan` order. An atom with a
     bound term looks its candidates up in a value index on the probe
     position, built once per call; an atom with none scans its predicate.
     `_match` and the inequalities still check every term, so the index only
-    narrows the candidates. Candidates come in tid order, so the
-    enumeration is deterministic; `picked` lists the facts in plan order.
+    narrows the candidates. Candidates are the instance's rows, in tid
+    order, so the enumeration is deterministic and builds no `Fact`;
+    `picked` lists the rows in plan order.
     The join nests one step per atom; nesting deeper than the recursion
     limit raises BudgetExceededError.
     """
     _check_arities(inst, cq)
-    indexes: dict[tuple[str, int], dict[str, list[Fact]]] = {}
+    indexes: dict[tuple[str, int], dict[str, list[Row]]] = {}
     steps = _plan(cq)
     for atom, probe in steps:
         if probe is not None and (atom.predicate, probe) not in indexes:
             index = indexes[atom.predicate, probe] = {}
-            for fact in inst.of_predicate(atom.predicate):
-                index.setdefault(fact.args[probe], []).append(fact)
+            for row in inst.rows_of(atom.predicate):
+                index.setdefault(row[1][probe], []).append(row)
 
-    def extend(i: int, binding: dict[str, str], picked: list[Fact]):
+    def extend(i: int, binding: dict[str, str], picked: list[Row]):
         if i == len(steps):
             yield dict(binding), tuple(picked)
             return
         atom, probe = steps[i]
         if probe is None:
-            candidates = inst.of_predicate(atom.predicate)
+            candidates = inst.rows_of(atom.predicate)
         else:
             value = _ground(atom.terms[probe], binding)
             candidates = indexes[atom.predicate, probe].get(value, ())
-        for fact in candidates:
-            extended = _match(atom, fact, binding)
+        for row in candidates:
+            extended = _match(atom, row[1], binding)
             if extended is None:
                 continue
             if not _inequalities_ok(cq, extended):
                 continue
-            picked.append(fact)
+            picked.append(row)
             yield from extend(i + 1, extended, picked)
             picked.pop()
 
@@ -549,7 +552,7 @@ def violations(inst: Instance, cs: ConstraintSet) -> list[ViolationEdge]:
     edges: list[ViolationEdge] = []
     for index, dc in enumerate(cs.dcs):
         for _, picked in _solutions(inst, dc.body):
-            tids = frozenset(f.tid for f in picked)
+            tids = frozenset([row[2] for row in picked])
             key = (tids, index)
             if key not in seen:
                 seen.add(key)

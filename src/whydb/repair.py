@@ -145,12 +145,12 @@ def satisfies_hard(inst: Instance, constraint: HardConstraint) -> bool:
     if isinstance(constraint, ReferentialConstraint):
         constraint.check_positions(inst.arity)
         targets = {
-            tuple(f.args[p - 1] for p in constraint.target_positions)
-            for f in inst.of_predicate(constraint.target)
+            tuple(args[p - 1] for p in constraint.target_positions)
+            for _, args, _, _ in inst.rows_of(constraint.target)
         }
         return all(
-            tuple(f.args[p - 1] for p in constraint.source_positions) in targets
-            for f in inst.of_predicate(constraint.source)
+            tuple(args[p - 1] for p in constraint.source_positions) in targets
+            for _, args, _, _ in inst.rows_of(constraint.source)
         )
     return not violations(inst, ConstraintSet((constraint,)))
 

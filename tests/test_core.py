@@ -7,14 +7,23 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from whydb import (
+    AspDialect,
     Fact,
     Instance,
     ParseError,
     UnknownTidError,
+    answers,
     dump_instance,
+    emit_causality_program,
+    emit_repair_program,
+    eval_bcq,
     load_instance,
+    negate_query,
+    parse_query,
     tuple_by_tid,
+    violations,
 )
+from whydb import cli
 from whydb._scan import Scanner
 from whydb.core import (
     _COMPACT_RE,
@@ -24,8 +33,9 @@ from whydb.core import (
     _FactError,
     _read_fact,
 )
+from whydb.repair import parse_hard_constraints, satisfies_hard
 
-from conftest import D2STAR_TEXT, DSTAR_TEXT
+from conftest import D2STAR_TEXT, DSTAR_TEXT, QSTAR_TEXT, load_bench
 
 
 def test_tids_follow_file_order():
@@ -416,6 +426,122 @@ def test_parts_are_the_instances_built_with_checks(inst, tids):
         assert part.endogenous_tids == checked.endogenous_tids
         assert [part.fact(f.tid) for f in kept] == kept
         assert part == checked and hash(part) == hash(checked)
+
+
+_EXTRA = Fact("Z", ("z",), 51)
+
+
+def _accessors(inst):
+    return (
+        inst.facts,
+        [inst.of_predicate(p) for p in ("P", "Q", "Z")],
+        [inst.fact(t) for t in sorted(inst.tids)],
+        inst.tids,
+        inst.endogenous_tids,
+        list(inst.arities.items()),
+        [inst.arity(p) for p in ("P", "Q", "Z")],
+        inst.to_text(),
+        len(inst),
+        list(inst),
+    )
+
+
+@given(instances(), st.sets(st.integers(1, 50)))
+def test_instances_of_the_same_facts_agree(inst, tids):
+    """An instance loaded, one given its facts in reverse order, and the
+    parts `without` and `restrict` take from a larger instance hold the
+    same facts, and every accessor reads them alike. Each builds a fact's
+    `Fact` once, on request, and a part shares the Facts of its parent."""
+    loaded = load_instance(dump_instance(inst))
+    assert not loaded._built
+    larger = Instance([*inst.facts, _EXTRA])
+    alike = [
+        loaded,
+        Instance(reversed(inst.facts)),
+        larger.without({_EXTRA.tid}),
+        larger.restrict(inst.tids),
+    ]
+    rows = tuple((f.predicate, f.args, f.tid, f.exogenous) for f in inst.facts)
+    for other in alike:
+        assert other.rows == rows
+        assert _accessors(other) == _accessors(inst)
+        assert other == inst and hash(other) == hash(inst) == hash(rows)
+        assert other.facts is other.facts
+        assert all(other.of_predicate(p) is other.of_predicate(p) for p in ("P", "Q", "Z"))
+        assert [other.fact(f.tid) for f in other] == list(other.facts)
+    _assert_built_alike(loaded)
+    assert [larger.fact(f.tid) for f in inst.facts] == list(inst.facts)
+    assert all(Instance(inst.facts).fact(f.tid) is f for f in inst.facts)
+    # a part and its parent share built Facts, whichever of them builds first
+    reloaded = load_instance(dump_instance(inst))
+    part = reloaded.without(tids)
+    for t in sorted(part.tids):
+        assert part.fact(t) is reloaded.fact(t)
+    for t in sorted(reloaded.tids - part.tids):
+        assert reloaded.fact(t) is reloaded.restrict(tids).fact(t)
+        with pytest.raises(UnknownTidError):
+            part.fact(t)
+    by_tid = [reloaded.fact(t) for t in sorted(reloaded.tids)]
+    assert all(a is b for a, b in zip(reloaded.facts, by_tid, strict=True))
+
+
+@pytest.fixture(scope="module")
+def sparse_join(tmp_path_factory):
+    """The `sparse-join` benchmark workload at seed 1: its module, its
+    operations, and the directory holding its fact files."""
+    work = tmp_path_factory.mktemp("sparse-join")
+    module = load_bench("sparse_join")
+    ops, _ = module.build(1, work)
+    return module, ops, work
+
+
+def test_commands_that_print_no_fact_build_no_fact(sparse_join):
+    """Grounding, query evaluation, the referential check and both ASP
+    programs read the rows of the instance and build none of its Facts."""
+    module, _, work = sparse_join
+    inst = load_instance((work / "j1.facts").read_text())
+    q = parse_query(module.CHAIN_QUERY)
+    violations(inst, negate_query(q))
+    answers(inst, parse_query(module.JOIN_QUERY))
+    answers(inst, parse_query('q(y) :- R("p0a", y).'))
+    eval_bcq(inst, q)
+    satisfies_hard(inst, parse_hard_constraints("R[1] <= S[1].")[0])
+    for dialect in AspDialect:
+        emit_repair_program(inst, negate_query(q), dialect)
+        emit_causality_program(inst, q, dialect)
+    assert inst._built == {}
+
+
+def test_commands_build_only_the_facts_they_print(
+    sparse_join, tmp_path, monkeypatch, capsys
+):
+    """Every command of the `sparse-join` workload, and `causes` on D*,
+    builds the Fact of exactly the tuples its output names, as the
+    benchmark's readers of that output find them."""
+    _, ops, _ = sparse_join
+    outputs = load_bench("outputs")
+    loaded = []
+
+    def load(text):
+        loaded.append(load_instance(text))
+        return loaded[-1]
+
+    monkeypatch.setattr(cli, "load_instance", load)
+    db = tmp_path / "dstar.facts"
+    db.write_text(DSTAR_TEXT)
+    runs = [(op.argv, op.read) for op in ops] + [
+        (
+            ["causes", "--db", str(db), "-q", QSTAR_TEXT, "--format", fmt],
+            lambda out, atoms, fmt=fmt: outputs.causes(out, fmt, atoms),
+        )
+        for fmt in ("text", "json")
+    ]
+    for argv, read in runs:
+        assert cli.main(list(argv)) == 0
+        atoms: dict[int, str] = {}
+        read(capsys.readouterr().out, atoms)
+        assert set(loaded[-1]._built) == set(atoms), argv
+    assert set(atoms) == {1, 3, 4, 6}
 
 
 def test_instance_constructor_validates():
