@@ -216,8 +216,11 @@ def _prefix(
     lines = [f"% whydb {__version__} {kind} program", f"% dialect: {dialect.value}"]
     if len(inst):
         lines.append("% facts")
+        # each distinct constant is tested once
+        every = set(itertools.chain.from_iterable([row[1] for row in inst.rows]))
+        emitted = {c: _emit_constant(c) for c in every}.__getitem__
         for predicate, args, tid, _ in inst.rows:
-            constants = ",".join(map(_emit_constant, args))
+            constants = ",".join(map(emitted, args))
             lines.append(f"{base[predicate]}({tid},{constants}).")
     stays_seen: set[str] = set()
     for dc, label in zip(cs.dcs, cs.labels):

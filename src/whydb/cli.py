@@ -22,14 +22,15 @@ Handlers return listed fact sets as tid sets of a fact table
 `_FactSets` (a list of sets) or a `_Repair` (a repair's deleted facts and
 the rest). A listed set is cut out of text joined once. A repair costs one
 sort and one join of its deleted facts; its retained facts are one join of
-the slices between them of every fact's text, joined once per format. A
-cause's contingency set is two slices of its S-repair difference
-(`CauseReport._differences`), joined once however many causes hold it. A
-repair's text line and its JSON object are each one f-string. The JSON
-writer writes a piece per document field, and a non-empty list field, or
-list of fact sets, as its key, a piece per item and its closing bracket:
-one piece per repair, per cause with all its contingency sets, and per
-contingency set of `contingency`, made as it is written.
+fixed pieces of every fact's text, cut once per format, with the slots of
+its deleted facts emptied. A cause's contingency set is two slices of its
+S-repair difference (`CauseReport._differences`), joined once however
+many causes hold it. A repair's text line and its JSON object are each
+one f-string. The JSON writer writes a piece per document field, and a
+non-empty list field, or list of fact sets, as its key, a piece per item
+and its closing bracket: one piece per repair, per cause with all its
+contingency sets, and per contingency set of `contingency`, made as it is
+written.
 """
 
 from __future__ import annotations
@@ -119,38 +120,56 @@ class _FactTable:
     fact values of the table, `_FactSets` and `_Repair`.
 
     A listed set is cut out of text joined once. A repair's retained facts
-    are the slices of every fact's text, joined once per separator, between
-    its deleted facts (`split`). A cause's contingency set is its S-repair
-    difference, joined once per separator, less the cause: two slices of
-    that text (`cuts`)."""
+    are every fact's text, cut once per separator into a slot for each fact
+    a listed repair deletes and a piece for each run between two slots, and
+    joined with the repair's slots emptied (`split`). A cause's contingency
+    set is its S-repair difference, joined once per separator, less the
+    cause: two slices of that text (`cuts`)."""
 
     def __init__(self, inst):
         self._inst = inst
         self.text = _Memo(lambda tid: inst.fact(tid).render())
         self.json = _Memo(lambda tid: encode_basestring_ascii(self.text[tid]))
-        self._rows: dict[str, tuple[str, dict[int, int], dict[int, int]]] = {}
+        self._slot: dict[int, int] = {}
+        self._pieces: dict[str, list[str]] = {}
         self._cuts: dict[str, _Memo] = {}
 
     def split(self, deleted, texts: _Memo, sep: str) -> tuple[str, str]:
         """The texts of the facts `deleted`, and of every other fact, each in
-        tid order and joined by `sep`: one sort, one join, and one join of
-        the k+1 slices of every fact's text, each followed by `sep`, that
-        lie around the k deleted ones, less the last `sep`."""
-        order = sorted(deleted)
-        if sep not in self._rows:
-            tids = [f.tid for f in self._inst.facts]
-            every = [texts[tid] for tid in tids]
-            starts = list(accumulate((len(t) + len(sep) for t in every), initial=0))
-            self._rows[sep] = (
-                sep.join(every) + sep,
-                dict(zip(tids, starts)),
-                dict(zip(tids, starts[1:])),
-            )
-        joined, starts, stops = self._rows[sep]
-        lefts = [0, *map(stops.__getitem__, order)]
-        rights = [*map(starts.__getitem__, order), len(joined)]
-        kept = "".join(map(joined.__getitem__, map(slice, lefts, rights)))
-        return sep.join(map(texts.__getitem__, order)), kept[: -len(sep)]
+        tid order and joined by `sep`: one sort and one join, and one join of
+        a copy of the pieces for `sep` (`_cut_text`) with the deleted facts'
+        slots emptied, less the last `sep`. A set with a tid that has no
+        slot yet first gives every tid seen so far, and its own, a slot."""
+        if not self._slot.keys() >= deleted:
+            slotted = sorted(self._inst.tids & (self._slot.keys() | deleted))
+            self._slot = {tid: 3 * i + 1 for i, tid in enumerate(slotted)}
+            self._pieces.clear()
+        pieces = self._pieces.get(sep)
+        if pieces is None:
+            pieces = self._pieces[sep] = self._cut_text(texts, sep)
+        kept = pieces.copy()
+        for i in map(self._slot.__getitem__, deleted):
+            kept[i] = kept[i + 1] = ""
+        cut = sep.join(map(texts.__getitem__, sorted(deleted)))
+        return cut, "".join(kept)[: -len(sep)]
+
+    def _cut_text(self, texts: _Memo, sep: str) -> list[str]:
+        """Every fact's text, each followed by `sep`, in tid order, cut into
+        pieces: a fact with a slot is two pieces, its text and `sep`, at
+        `_slot[tid]` and one past it, and the facts between two slots are
+        one piece, their texts joined (or `""`). So the pieces add up to the
+        joined text once, and share each slotted text with `texts`."""
+        pieces: list[str] = []
+        run: list[str] = []
+        for row in self._inst.rows:
+            text = texts[row[2]]
+            if row[2] in self._slot:
+                pieces += (sep.join(run) + sep if run else "", text, sep)
+                run = []
+            else:
+                run.append(text)
+        pieces.append(sep.join(run) + sep if run else "")
+        return pieces
 
     def cuts(self, texts: _Memo, start: str, sep: str, end: str) -> _Memo:
         """`cuts[d]` is `(whole, order, at)` for a tid set `d`: `whole` is

@@ -13,12 +13,18 @@ Constraint files hold denial constraints and functional dependencies:
 
 In rule files a lowercase identifier is always a variable. Constants must be
 written quoted (``"a4"``) or start with an uppercase letter or digit.
+
+Queries and constraints are evaluated by one backtracking join
+(`_solutions`). `violations` grounds a DC of the shape of an FD by key
+groups instead: the rows that agree on the positions its two atoms share,
+split by their value at its inequality's position.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import Iterator, Mapping, Union
 
 from ._scan import IDENTIFIER_RE, Scanner
@@ -540,19 +546,95 @@ def answers(inst: Instance, q: UCQ) -> set[tuple[str, ...]]:
     return out
 
 
+def _fd_shape(cq: CQ) -> tuple[str, tuple[int, ...], int] | None:
+    """`(predicate, shared, at)` if cq has the shape of an FD's DC, else None.
+
+    The shape: two atoms of one predicate, of one length, with only
+    variables; each variable either sits at the same position in both atoms
+    (the positions `shared`) or occurs once; and one inequality, between the
+    two atoms' variables at the position `at`. Every DC that `fd_to_dc`
+    makes has it. Its homomorphisms are the pairs of the predicate's rows
+    that agree at `shared` and differ at `at`.
+    """
+    if len(cq.atoms) != 2 or len(cq.inequalities) != 1:
+        return None
+    first, second = cq.atoms
+    if first.predicate != second.predicate or len(first.terms) != len(second.terms):
+        return None
+    terms = first.terms + second.terms
+    if not all(isinstance(t, Var) for t in (*terms, *cq.inequalities[0])):
+        return None
+    names = [t.name for t in terms]
+    shared = []
+    for p, (a, b) in enumerate(zip(first.terms, second.terms)):
+        if a == b and names.count(a.name) == 2:
+            shared.append(p)
+        elif names.count(a.name) != 1 or names.count(b.name) != 1:
+            return None
+    left, right = cq.inequalities[0]
+    i, j = names.index(left.name), names.index(right.name)
+    if abs(i - j) != len(first.terms):
+        return None
+    return first.predicate, tuple(shared), i % len(first.terms)
+
+
+def _key_groups(rows: tuple[Row, ...], shared: tuple[int, ...]) -> list[list[Row]]:
+    """The rows that agree at the positions `shared` with some other row,
+    grouped by their values there, each group in tid order."""
+    if not shared:
+        return [list(rows)] if len(rows) > 1 else []
+    key = itemgetter(*shared)
+    first: dict[object, Row] = {}
+    groups: dict[object, list[Row]] = {}
+    for row in rows:
+        k = key(row[1])
+        other = first.setdefault(k, row)
+        if other is not row:
+            groups.setdefault(k, [other]).append(row)
+    return list(groups.values())
+
+
+def _fd_images(
+    inst: Instance, cq: CQ, shape: tuple[str, tuple[int, ...], int]
+) -> Iterator[frozenset[int]]:
+    """The tid sets of the homomorphisms of cq, a DC body of `_fd_shape`
+    `shape`, each once: every two rows of one key group (`_key_groups`)
+    that differ at the inequality's position."""
+    _check_arities(inst, cq)
+    predicate, shared, at = shape
+    for group in _key_groups(inst.rows_of(predicate), shared):
+        by_value: dict[str, list[int]] = {}
+        for _, args, tid, _ in group:
+            by_value.setdefault(args[at], []).append(tid)
+        classes = list(by_value.values())
+        for i, tids in enumerate(classes):
+            for others in classes[i + 1 :]:
+                for t in tids:
+                    for u in others:
+                        yield frozenset((t, u))
+
+
 def violations(inst: Instance, cs: ConstraintSet) -> list[ViolationEdge]:
     """Ground witnesses of inconsistency, one edge per homomorphism image.
 
     An image maps each constraint atom to a fact; its edge is the set of
     image tids, so a self-join image collapsing two atoms onto one tuple
     yields a smaller edge. Edges are deduplicated per constraint and sorted
-    by (sorted tids, constraint index).
+    by (sorted tids, constraint index). A DC of the shape of an FD
+    (`_fd_shape`) is grounded by the key groups of its predicate's rows
+    (`_fd_images`), any other by the join (`_solutions`): the same edges,
+    and the same errors.
     """
     seen: set[tuple[frozenset[int], int]] = set()
     edges: list[ViolationEdge] = []
     for index, dc in enumerate(cs.dcs):
-        for _, picked in _solutions(inst, dc.body):
-            tids = frozenset([row[2] for row in picked])
+        shape = _fd_shape(dc.body)
+        if shape is None:
+            solutions = _solutions(inst, dc.body)
+            images = (frozenset([row[2] for row in p]) for _, p in solutions)
+        else:
+            images = _fd_images(inst, dc.body, shape)
+        for tids in images:
             key = (tids, index)
             if key not in seen:
                 seen.add(key)

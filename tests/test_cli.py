@@ -514,6 +514,79 @@ def test_cut_sets_are_the_plain_joins(case):
         assert sets.json("\n") == json.dumps([kept, kept], indent=2)
 
 
+@st.composite
+def _listings(draw):
+    """An instance of facts P(c), with constants that JSON escapes and
+    gapped tids out of file order, and a listing of tid sets of it in random
+    order: drawn at random, or none, every one, the first, the last, two
+    adjacent tids, or every other tid from the last one back."""
+    constants = draw(
+        st.lists(_JSON_STRINGS.filter(is_constant), min_size=1, max_size=8, unique=True)
+    )
+    tids = draw(
+        st.lists(st.integers(1, 40), min_size=len(constants), max_size=len(constants),
+                 unique=True)
+    )
+    inst = Instance(Fact("P", (c,), t) for c, t in zip(constants, tids))
+    order = sorted(tids)
+    chosen = (
+        st.frozensets(st.sampled_from(tids))
+        | st.sampled_from([(), order, order[:1], order[-1:], order[::-2]]).map(frozenset)
+        | st.integers(0, len(order) - 1).map(lambda i: frozenset(order[i : i + 2]))
+    )
+    return inst, draw(st.lists(chosen, min_size=1, max_size=12))
+
+
+@settings(deadline=None, max_examples=300)
+@given(_listings())
+def test_repairs_listed_on_one_table_are_the_plain_joins(case):
+    """Many repairs on one table, in text and in JSON by turns: each set
+    with a tid that has no slot yet gives the pieces more slots mid-listing,
+    and every repair is still the plain joins of its deleted and retained
+    facts' sorted texts."""
+    inst, listing = case
+    table = _FactTable(inst)
+
+    def texts(tids):
+        return [inst.fact(t).render() for t in sorted(tids)]
+
+    for chosen in listing:
+        rest = inst.tids - chosen
+        plain = (", ".join(texts(chosen)), ", ".join(texts(rest)))
+        assert table.split(chosen, table.text, ", ") == plain
+        assert _Repair(chosen, table).json("\n    ") == json.dumps(
+            {"deleted": texts(chosen), "retained": texts(rest)}, indent=2
+        ).replace("\n", "\n    ")
+
+
+def test_repair_slots_keep_the_joined_text_once(tmp_path):
+    # FD-12 over 100 clean keys: 4096 S-repairs, listed in text and JSON.
+    # The pieces a table keeps per format add up to the joined text, and
+    # hold no more after the listing than twice its memory, the slots'
+    # index included, however many repairs were listed
+    db, fds = _fd_pairs(tmp_path, 12, 100)
+    inst = load_instance(Path(db).read_text())
+    reps = s_repairs(inst, parse_constraints(Path(fds).read_text(), inst))
+    assert len(reps) == 4096
+    table = _FactTable(inst)
+    seps = {", ": table.text, ",\n    ": table.json}
+    joined = {
+        sep: "".join(texts[t] + sep for t in sorted(inst.tids)) for sep, texts in seps.items()
+    }  # every fact's text is made before tracing
+    tracemalloc.start()
+    try:
+        for r in reps:
+            for sep, texts in seps.items():
+                table.split(r.deleted, texts, sep)
+        kept = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert len(table._slot) == 24
+    for sep, pieces in table._pieces.items():
+        assert "".join(pieces) == joined[sep]
+    assert kept <= 2 * sum(map(sys.getsizeof, joined.values())), kept
+
+
 class _Pieces:
     """Stands in for stdout: keeps every piece written."""
 

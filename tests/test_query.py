@@ -2,7 +2,7 @@ import itertools
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from whydb import (
@@ -21,6 +21,7 @@ from whydb import (
     parse_query,
     violations,
 )
+from whydb import query
 from whydb.query import CQ, DC, FD, UCQ, Atom, ConstraintSet, ViolationEdge, Var, _plan
 
 from conftest import DSTAR_TEXT, K12_TEXT, QSTAR_TEXT
@@ -471,3 +472,156 @@ def test_chain_3000_violations_above_the_oracle_guard():
     assert len(expected) == 998
     assert [e.tids for e in edges] == expected
     assert {e.constraint_index for e in edges} == {0}
+
+
+# -- FD-shaped constraints, grounded by key groups ---------------------------
+
+
+def _join_edges(inst, cs):
+    """Each constraint's edges as the join (`_solutions`) finds them, each
+    once, in the order `violations` gives."""
+    edges = {
+        (frozenset(row[2] for row in picked), index)
+        for index, dc in enumerate(cs.dcs)
+        for _, picked in query._solutions(inst, dc.body)
+    }
+    return sorted(edges, key=lambda e: (sorted(e[0]), e[1]))
+
+
+@st.composite
+def _fd_shaped(draw, arity: int):
+    """A DC of the shape of an FD over T/`arity`, with 0 to 3 shared
+    positions and the inequality's position anywhere: as `fd_to_dc` makes
+    it, or hand-written, with its own variable names and the inequality's
+    sides either way round. Returns the DC and its (shared, at)."""
+    at = draw(st.integers(0, arity - 1))
+    rest = [p for p in range(arity) if p != at]
+    shared = tuple(
+        sorted(draw(st.lists(st.sampled_from(rest), unique=True, max_size=3)))
+        if rest
+        else ()
+    )
+    if shared and draw(st.booleans()):
+        fd = FD("T", frozenset(p + 1 for p in shared), at + 1)
+        return fd_to_dc(fd, arity), (shared, at)
+    names = draw(st.permutations([f"v{i}" for i in range(2 * arity)]))
+    first = [Var(names[2 * p]) for p in range(arity)]
+    second = [first[p] if p in shared else Var(names[2 * p + 1]) for p in range(arity)]
+    sides = (first[at], second[at])
+    if draw(st.booleans()):
+        sides = sides[::-1]
+    atoms = (Atom("T", tuple(first)), Atom("T", tuple(second)))
+    return DC(CQ(atoms, (sides,))), (shared, at)
+
+
+@st.composite
+def _fd_cases(draw):
+    """Facts T/`arity` over the values a and b, so that keys repeat, with
+    tids out of file order; and one to three DCs, each FD-shaped over T,
+    over the absent Z, or a DC the join grounds."""
+    arity = draw(st.integers(1, 4))
+    keys = draw(
+        st.lists(
+            st.tuples(*[st.sampled_from("ab")] * arity), unique=True, max_size=12
+        )
+    )
+    tids = draw(st.permutations(range(1, len(keys) + 1)))
+    inst = Instance(Fact("T", args, t) for t, args in zip(tids, keys))
+    joined = DC(parse_query(f"q :- T({', '.join('xyzw'[:arity])}).").disjuncts[0])
+    dcs = draw(
+        st.lists(
+            _fd_shaped(arity)
+            | _fd_shaped(arity).map(lambda c: (_renamed(c[0], "Z"), None))
+            | st.just((joined, None)),
+            min_size=1,
+            max_size=3,
+        )
+    )
+    return inst, dcs
+
+
+def _renamed(dc, predicate: str):
+    atoms = tuple(Atom(predicate, a.terms) for a in dc.body.atoms)
+    return DC(CQ(atoms, dc.body.inequalities))
+
+
+@settings(deadline=None, max_examples=300)
+@given(_fd_cases())
+def test_fd_shaped_violations_are_the_joins_edges(case):
+    """Grounding by key groups gives the join's edges, in the same order,
+    and an FD-shaped DC is recognised as one, with its shared positions
+    and its inequality's position."""
+    inst, dcs = case
+    for dc, shape in dcs:
+        if shape is not None:
+            assert query._fd_shape(dc.body) == ("T", *shape)
+    cs = ConstraintSet(tuple(dc for dc, _ in dcs))
+    edges = violations(inst, cs)
+    assert [(e.tids, e.constraint_index) for e in edges] == _join_edges(inst, cs)
+
+
+@settings(deadline=None, max_examples=100)
+@given(st.data())
+def test_fd_shaped_arity_clash_is_the_joins_error(data):
+    """An FD-shaped DC of another arity than its predicate's in the
+    instance raises the join's ArityMismatchError."""
+    inst, _ = data.draw(_fd_cases())
+    assume(len(inst))
+    other = data.draw(st.integers(1, 4).filter(lambda n: n != inst.arity("T")))
+    dc, _ = data.draw(_fd_shaped(other))
+    with pytest.raises(ArityMismatchError) as by_groups:
+        violations(inst, ConstraintSet((dc,)))
+    with pytest.raises(ArityMismatchError) as by_join:
+        list(query._solutions(inst, dc.body))
+    assert str(by_groups.value) == str(by_join.value)
+
+
+_NEAR_MISSES = [
+    ':- T(x, y1, "a"), T(x, y2, w), y1 != y2.',  # a constant
+    ":- T(x, y1, y1), T(x, y2, w), y1 != y2.",  # a repeated variable
+    ":- T(x, y1, w), T(x, y2, y2), y1 != y2.",  # one in the second atom
+    ":- T(x, y1, v), T(x, y2, w), y1 != w.",  # an inequality across positions
+    ":- T(x, x, y1), T(x, x, y2), y1 != y2.",  # a reused shared variable
+    ":- T(x, y1, v), T(v2, y2, x), y1 != y2.",  # a variable at two positions
+    ":- T(x, y1, v), T(x, y2, w), T(x, y3, u), y1 != y2.",  # three atoms
+    ":- T(x, y1, v), T(x, y2, w), y1 != y2, v != w.",  # two inequalities
+    ':- T(x, y1, v), T(x, y2, w), y1 != "a".',  # an inequality with a constant
+    ":- T(x, y1, v), U(x, y2, w), y1 != y2.",  # two predicates
+]
+_NEAR_MISS_FACTS = (
+    "T(k,a,a). T(k,b,a). T(k,a,b). T(a,a,k). T(a,a,b). T(b,c,k). T(c,c,c).\n"
+    "U(k,b,a). U(k,c,c). U(a,b,c)."
+)
+
+
+@pytest.mark.parametrize("text", _NEAR_MISSES)
+def test_near_miss_of_the_fd_shape_takes_the_join(text, monkeypatch):
+    inst = load_instance(_NEAR_MISS_FACTS)
+    cs = parse_constraints(text)
+    expected = _join_edges(inst, cs)
+    assert expected  # each near miss has violations here
+    calls = []
+    solutions = query._solutions
+    monkeypatch.setattr(query, "_solutions", lambda *a: calls.append(a) or solutions(*a))
+    edges = violations(inst, cs)
+    assert [(e.tids, e.constraint_index) for e in edges] == expected
+    assert len(calls) == 1 and query._fd_shape(cs.dcs[0].body) is None
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "fd T: 1 -> 2.\nfd T: 1 -> 3.\nfd T: 2,3 -> 1.",
+        ":- T(x, y1, v), T(x, y2, w), y2 != y1.\n:- T(a, b, c), T(d, e, f), a != d.",
+    ],
+)
+def test_fd_shaped_constraints_skip_the_join(text, monkeypatch):
+    inst = load_instance(_NEAR_MISS_FACTS)
+    cs = parse_constraints(text, inst)
+    expected = _join_edges(inst, cs)
+    assert {index for _, index in expected} == set(range(len(cs)))
+    calls = []
+    monkeypatch.setattr(query, "_solutions", lambda *a: calls.append(a))
+    edges = violations(inst, cs)
+    assert [(e.tids, e.constraint_index) for e in edges] == expected
+    assert calls == []
